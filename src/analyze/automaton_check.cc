@@ -1,7 +1,6 @@
 #include "analyze/automaton_check.h"
 
 #include <algorithm>
-#include <deque>
 #include <string>
 
 #include "analyze/mask_check.h"
@@ -87,69 +86,74 @@ std::vector<bool> ComputePossibleSymbols(const CompiledEvent& compiled) {
   return extended;
 }
 
+std::vector<SymbolId> AllowedSymbols(const std::vector<bool>& possible) {
+  std::vector<SymbolId> symbols;
+  for (size_t s = 0; s < possible.size(); ++s) {
+    if (possible[s]) symbols.push_back(static_cast<SymbolId>(s));
+  }
+  return symbols;
+}
+
+std::vector<SymbolId> SearchTree::PathTo(int32_t node) const {
+  std::vector<SymbolId> path(depth[node]);
+  for (size_t i = path.size(); i-- > 0; node = parent[node]) {
+    path[i] = via[node];
+  }
+  return path;
+}
+
+void SearchTree::Reset(int32_t root) {
+  order.assign(1, root);
+  parent.assign(root + 1, -1);
+  via.assign(root + 1, -1);
+  depth.assign(root + 1, kUnreached);
+  depth[root] = 0;
+}
+
+void SearchTree::Discover(int32_t node, int32_t from, SymbolId symbol) {
+  if (static_cast<size_t>(node) >= depth.size()) {
+    parent.resize(node + 1, -1);
+    via.resize(node + 1, -1);
+    depth.resize(node + 1, kUnreached);
+  }
+  if (depth[node] != kUnreached) return;
+  parent[node] = from;
+  via[node] = symbol;
+  depth[node] = depth[from] + 1;
+  order.push_back(node);
+}
+
 namespace {
 
-/// States reachable from `from` via >= `min_steps` possible symbols.
-std::vector<bool> Reachable(const Dfa& dfa, Dfa::State from,
-                            const std::vector<bool>& possible,
-                            int min_steps) {
-  std::vector<bool> seen(dfa.num_states(), false);
-  std::deque<Dfa::State> frontier;
-  auto expand = [&](Dfa::State cur) {
-    for (size_t s = 0; s < dfa.alphabet_size(); ++s) {
-      if (!possible[s]) continue;
-      Dfa::State to = dfa.Step(cur, static_cast<SymbolId>(s));
-      if (!seen[to]) {
-        seen[to] = true;
-        frontier.push_back(to);
-      }
-    }
-  };
-  if (min_steps <= 0) {
-    seen[from] = true;
-    frontier.push_back(from);
-  } else {
-    expand(from);
-  }
-  while (!frontier.empty()) {
-    Dfa::State cur = frontier.front();
-    frontier.pop_front();
-    expand(cur);
-  }
-  return seen;
+auto DfaStep(const Dfa& dfa) {
+  return [&dfa](int32_t s, SymbolId y) { return dfa.Step(s, y); };
 }
 
 }  // namespace
 
-bool DfaEmptySigmaPlus(const Dfa& dfa, const std::vector<bool>& possible) {
-  std::vector<bool> seen = Reachable(dfa, dfa.start(), possible, 1);
-  for (size_t s = 0; s < dfa.num_states(); ++s) {
-    if (seen[s] && dfa.accepting(static_cast<Dfa::State>(s))) return false;
-  }
-  return true;
+std::optional<std::vector<SymbolId>> ShortestAcceptedPath(
+    const Dfa& dfa, Dfa::State from, const std::vector<SymbolId>& symbols,
+    size_t max_steps, SearchTree* tree) {
+  SearchTree local;
+  return ShortestPath(
+      from, symbols, max_steps, DfaStep(dfa),
+      [&dfa](int32_t s) { return dfa.accepting(s); },
+      tree != nullptr ? tree : &local);
 }
 
-bool DfaUniversalSigmaPlus(const Dfa& dfa, const std::vector<bool>& possible) {
-  if (std::none_of(possible.begin(), possible.end(),
-                   [](bool b) { return b; })) {
-    return false;  // No realizable history at all.
-  }
-  std::vector<bool> seen = Reachable(dfa, dfa.start(), possible, 1);
-  for (size_t s = 0; s < dfa.num_states(); ++s) {
-    if (seen[s] && !dfa.accepting(static_cast<Dfa::State>(s))) return false;
-  }
-  return true;
+SearchTree ReachableStates(const Dfa& dfa, Dfa::State from,
+                           const std::vector<SymbolId>& symbols) {
+  SearchTree tree;
+  ShortestPath(from, symbols, SIZE_MAX, DfaStep(dfa),
+               [](int32_t) { return false; }, &tree);
+  return tree;
 }
 
-StateReport AnalyzeStates(const Dfa& dfa, const std::vector<bool>& possible) {
-  StateReport report;
-  report.total = dfa.num_states();
-  std::vector<bool> reachable = Reachable(dfa, dfa.start(), possible, 0);
-
-  // Live = some accepting state is reachable (>= 0 steps): one backward
-  // closure from the accepting states over the reversed transitions.
-  std::vector<std::vector<Dfa::State>> reverse(dfa.num_states());
-  for (size_t s = 0; s < dfa.num_states(); ++s) {
+std::vector<int32_t> DistanceToAccepting(const Dfa& dfa,
+                                         const std::vector<bool>& possible) {
+  const size_t n = dfa.num_states();
+  std::vector<std::vector<Dfa::State>> reverse(n);
+  for (size_t s = 0; s < n; ++s) {
     for (size_t sym = 0; sym < dfa.alphabet_size(); ++sym) {
       if (!possible[sym]) continue;
       reverse[dfa.Step(static_cast<Dfa::State>(s),
@@ -157,28 +161,52 @@ StateReport AnalyzeStates(const Dfa& dfa, const std::vector<bool>& possible) {
           .push_back(static_cast<Dfa::State>(s));
     }
   }
-  std::vector<bool> live(dfa.num_states(), false);
-  std::deque<Dfa::State> frontier;
-  for (size_t s = 0; s < dfa.num_states(); ++s) {
+  std::vector<int32_t> dist(n, -1);
+  std::vector<Dfa::State> queue;
+  for (size_t s = 0; s < n; ++s) {
     if (dfa.accepting(static_cast<Dfa::State>(s))) {
-      live[s] = true;
-      frontier.push_back(static_cast<Dfa::State>(s));
+      dist[s] = 0;
+      queue.push_back(static_cast<Dfa::State>(s));
     }
   }
-  while (!frontier.empty()) {
-    Dfa::State cur = frontier.front();
-    frontier.pop_front();
+  for (size_t head = 0; head < queue.size(); ++head) {
+    Dfa::State cur = queue[head];
     for (Dfa::State pred : reverse[cur]) {
-      if (!live[pred]) {
-        live[pred] = true;
-        frontier.push_back(pred);
+      if (dist[pred] == -1) {
+        dist[pred] = dist[cur] + 1;
+        queue.push_back(pred);
       }
     }
   }
+  return dist;
+}
+
+bool DfaEmptySigmaPlus(const Dfa& dfa, const std::vector<bool>& possible) {
+  return !ShortestAcceptedPath(dfa, dfa.start(), AllowedSymbols(possible),
+                               SIZE_MAX)
+              .has_value();
+}
+
+bool DfaUniversalSigmaPlus(const Dfa& dfa, const std::vector<bool>& possible) {
+  std::vector<SymbolId> symbols = AllowedSymbols(possible);
+  if (symbols.empty()) return false;  // No realizable history at all.
+  SearchTree tree;
+  return !ShortestPath(
+              dfa.start(), symbols, SIZE_MAX, DfaStep(dfa),
+              [&dfa](int32_t s) { return !dfa.accepting(s); }, &tree)
+              .has_value();
+}
+
+StateReport AnalyzeStates(const Dfa& dfa, const std::vector<bool>& possible) {
+  StateReport report;
+  report.total = dfa.num_states();
+  SearchTree reachable =
+      ReachableStates(dfa, dfa.start(), AllowedSymbols(possible));
+  std::vector<int32_t> dist = DistanceToAccepting(dfa, possible);
   for (size_t s = 0; s < dfa.num_states(); ++s) {
-    if (!reachable[s]) {
+    if (!reachable.reached(static_cast<Dfa::State>(s))) {
       ++report.unreachable;
-    } else if (!live[s]) {
+    } else if (dist[s] < 0) {
       ++report.dead;
     }
   }
@@ -195,12 +223,13 @@ struct RootMasks {
   std::vector<MaskExprPtr> exprs;   ///< In the same order as `texts`.
 };
 
-EventExprPtr StripRootMasks(EventExprPtr e, RootMasks* masks) {
+EventExprPtr StripRootMasks(EventExprPtr e, RootMasks* masks = nullptr) {
   std::vector<std::pair<std::string, MaskExprPtr>> found;
   while (e->kind == EventExprKind::kMasked) {
-    found.emplace_back(e->mask->ToString(), e->mask);
+    if (masks != nullptr) found.emplace_back(e->mask->ToString(), e->mask);
     e = e->children[0];
   }
+  if (masks == nullptr) return e;
   std::sort(found.begin(), found.end(),
             [](const auto& x, const auto& y) { return x.first < y.first; });
   for (auto& [text, expr] : found) {
@@ -232,13 +261,44 @@ bool HasMaskedNode(const EventExpr& e) {
 
 }  // namespace
 
+Result<std::optional<JointPair>> CompileJointPair(
+    const EventExprPtr& a, const EventExprPtr& b,
+    const CompileOptions& options) {
+  JointPair joint;
+  joint.core_a = StripRootMasks(a);
+  joint.core_b = StripRootMasks(b);
+  // Nested composite masks compile to gates whose bits depend on run-time
+  // state — not a regular-language question anymore.
+  if (HasMaskedNode(*joint.core_a) || HasMaskedNode(*joint.core_b)) {
+    return std::optional<JointPair>();
+  }
+  // One alphabet over both expressions, so their DFAs share symbols. Build
+  // can fail (e.g. one trigger uses a signature the other omits): that is
+  // an overlap the §5 rewrite cannot express.
+  EventExprPtr joined = EventExpr::Or(joint.core_a, joint.core_b);
+  Result<Alphabet> alphabet = Alphabet::Build(*joined, options.alphabet);
+  if (!alphabet.ok()) return std::optional<JointPair>();
+  joint.alphabet = std::move(*alphabet);
+
+  ODE_ASSIGN_OR_RETURN(Nfa nfa_a,
+                       CompileToNfa(*joint.core_a, joint.alphabet, options));
+  ODE_ASSIGN_OR_RETURN(Nfa nfa_b,
+                       CompileToNfa(*joint.core_b, joint.alphabet, options));
+  ODE_ASSIGN_OR_RETURN(joint.dfa_a, Determinize(nfa_a, options.max_states));
+  ODE_ASSIGN_OR_RETURN(joint.dfa_b, Determinize(nfa_b, options.max_states));
+  // A micro-symbol whose signed mask conjunction the solver refutes
+  // cannot occur in any history.
+  joint.possible = ComputeAlphabetPossibleSymbols(joint.alphabet);
+  return std::optional<JointPair>(std::move(joint));
+}
+
 Result<PairComparison> CompareEventExprsDetailed(const EventExprPtr& a,
                                                  const EventExprPtr& b,
                                                  const CompileOptions& options) {
   PairComparison result;
   RootMasks masks_a, masks_b;
-  EventExprPtr core_a = StripRootMasks(a, &masks_a);
-  EventExprPtr core_b = StripRootMasks(b, &masks_b);
+  StripRootMasks(a, &masks_a);
+  StripRootMasks(b, &masks_b);
 
   // Root masks gate firing on run-time state. With equal sets the gates
   // cancel and the core languages decide the relation outright. With
@@ -257,34 +317,20 @@ Result<PairComparison> CompareEventExprsDetailed(const EventExprPtr& a,
     if (!a_implies_b && !b_implies_a) return result;  // kIncomparable.
   }
 
-  // Nested composite masks compile to gates whose bits depend on run-time
-  // state — not a regular-language question anymore.
-  if (HasMaskedNode(*core_a) || HasMaskedNode(*core_b)) {
-    return result;  // kIncomparable.
-  }
+  ODE_ASSIGN_OR_RETURN(std::optional<JointPair> joint,
+                       CompileJointPair(a, b, options));
+  if (!joint) return result;  // kIncomparable.
 
-  // One alphabet over both expressions, so their DFAs share symbols. Build
-  // can fail (e.g. one trigger uses a signature the other omits): that is
-  // an overlap the §5 rewrite cannot express, hence incomparable.
-  EventExprPtr joined = EventExpr::Or(core_a, core_b);
-  Result<Alphabet> joint = Alphabet::Build(*joined, options.alphabet);
-  if (!joint.ok()) return result;  // kIncomparable.
-
-  ODE_ASSIGN_OR_RETURN(Nfa nfa_a, CompileToNfa(*core_a, *joint, options));
-  ODE_ASSIGN_OR_RETURN(Nfa nfa_b, CompileToNfa(*core_b, *joint, options));
-  ODE_ASSIGN_OR_RETURN(Dfa dfa_a, Determinize(nfa_a, options.max_states));
-  ODE_ASSIGN_OR_RETURN(Dfa dfa_b, Determinize(nfa_b, options.max_states));
-
-  // Containment is decided over *realizable* joint symbols only: a
-  // micro-symbol whose signed mask conjunction the solver refutes cannot
-  // occur in any history, so strings using it don't witness distinctness.
-  std::vector<bool> possible = ComputeAlphabetPossibleSymbols(*joint);
+  // Containment is decided over *realizable* joint symbols only: strings
+  // using a solver-refuted symbol don't witness distinctness.
   // L(b) ⊆ L(a)  iff  L(b) ∩ (Σ⁺ \ L(a)) = ∅. Event languages never
   // contain ε, so plain emptiness of the product suffices.
-  Dfa not_a = ComplementSigmaPlus(dfa_a);
-  Dfa not_b = ComplementSigmaPlus(dfa_b);
-  bool core_b_in_a = DfaEmptySigmaPlus(IntersectDfa(dfa_b, not_a), possible);
-  bool core_a_in_b = DfaEmptySigmaPlus(IntersectDfa(dfa_a, not_b), possible);
+  Dfa not_a = ComplementSigmaPlus(joint->dfa_a);
+  Dfa not_b = ComplementSigmaPlus(joint->dfa_b);
+  bool core_b_in_a =
+      DfaEmptySigmaPlus(IntersectDfa(joint->dfa_b, not_a), joint->possible);
+  bool core_a_in_b =
+      DfaEmptySigmaPlus(IntersectDfa(joint->dfa_a, not_b), joint->possible);
 
   // Firings(x) ⊆ firings(y) needs both the core-language containment and
   // the mask-conjunction implication in the same direction.

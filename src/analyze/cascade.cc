@@ -8,7 +8,6 @@
 
 #include "analyze/automaton_check.h"
 #include "common/strutil.h"
-#include "semantics/oracle.h"
 
 namespace ode {
 namespace {
@@ -114,84 +113,11 @@ Result<ActionEffect> ParseOneEffect(std::string_view text, int line) {
 struct NodeState {
   std::vector<bool> possible_storage;
   const std::vector<bool>* possible = nullptr;
-  std::vector<int32_t> dist;            ///< Distance to accepting; -1 = ∞.
-  std::vector<int32_t> pred_state;      ///< Forward-BFS tree from start.
-  std::vector<SymbolId> pred_sym;
-  std::vector<bool> reachable;
-  std::vector<Dfa::State> order;        ///< Reachable states, BFS order.
+  std::vector<SymbolId> symbols;  ///< AllowedSymbols(*possible).
+  std::vector<int32_t> dist;      ///< DistanceToAccepting; -1 = dead.
+  SearchTree reach;               ///< Every state reachable from start.
   bool advanceable = false;  ///< Some realizable symbol advances it.
 };
-
-void ForwardReach(const Dfa& dfa, const std::vector<bool>& possible,
-                  NodeState* ns) {
-  const size_t n = dfa.num_states();
-  ns->reachable.assign(n, false);
-  ns->pred_state.assign(n, -1);
-  ns->pred_sym.assign(n, -1);
-  ns->order.clear();
-  std::deque<Dfa::State> queue;
-  ns->reachable[dfa.start()] = true;
-  queue.push_back(dfa.start());
-  while (!queue.empty()) {
-    Dfa::State s = queue.front();
-    queue.pop_front();
-    ns->order.push_back(s);
-    for (SymbolId y = 0; y < static_cast<SymbolId>(dfa.alphabet_size()); ++y) {
-      if (!possible[y]) continue;
-      Dfa::State to = dfa.Step(s, y);
-      if (!ns->reachable[to]) {
-        ns->reachable[to] = true;
-        ns->pred_state[to] = s;
-        ns->pred_sym[to] = y;
-        queue.push_back(to);
-      }
-    }
-  }
-}
-
-void DistanceToAccepting(const Dfa& dfa, const std::vector<bool>& possible,
-                         NodeState* ns) {
-  const size_t n = dfa.num_states();
-  std::vector<std::vector<Dfa::State>> rev(n);
-  for (size_t s = 0; s < n; ++s) {
-    for (SymbolId y = 0; y < static_cast<SymbolId>(dfa.alphabet_size()); ++y) {
-      if (!possible[y]) continue;
-      rev[dfa.Step(static_cast<Dfa::State>(s), y)].push_back(
-          static_cast<Dfa::State>(s));
-    }
-  }
-  ns->dist.assign(n, -1);
-  std::deque<Dfa::State> queue;
-  for (size_t s = 0; s < n; ++s) {
-    if (dfa.accepting(static_cast<Dfa::State>(s))) {
-      ns->dist[s] = 0;
-      queue.push_back(static_cast<Dfa::State>(s));
-    }
-  }
-  while (!queue.empty()) {
-    Dfa::State s = queue.front();
-    queue.pop_front();
-    for (Dfa::State p : rev[s]) {
-      if (ns->dist[p] == -1) {
-        ns->dist[p] = ns->dist[s] + 1;
-        queue.push_back(p);
-      }
-    }
-  }
-}
-
-/// The shortest realizable history from the start state to `q` along the
-/// forward-BFS tree (lexicographically least among shortest).
-std::vector<SymbolId> AccessString(const NodeState& ns, const Dfa& dfa,
-                                   Dfa::State q) {
-  std::vector<SymbolId> out;
-  while (q != dfa.start() && ns.pred_state[q] != -1) {
-    out.push_back(ns.pred_sym[q]);
-    q = ns.pred_state[q];
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
-}
 
 bool HasTxnMarkers(const Alphabet& alphabet) {
   for (size_t g = 0; g < alphabet.num_groups(); ++g) {
@@ -291,55 +217,12 @@ struct EdgeEval {
   std::vector<SymbolId> fire_chain;
 };
 
-/// Lexicographically-least shortest non-empty string over `syms`
-/// (ascending) driving the DFA from `src` into an accepting state, capped
-/// at `max_steps` symbols.
-std::optional<std::vector<SymbolId>> ShortestChain(
-    const Dfa& dfa, Dfa::State src, const std::vector<SymbolId>& syms,
-    size_t max_steps) {
-  const size_t n = dfa.num_states();
-  std::vector<int32_t> depth(n, -1);
-  std::vector<Dfa::State> pre_state(n, -1);
-  std::vector<SymbolId> pre_sym(n, -1);
-  depth[src] = 0;
-  std::deque<Dfa::State> queue{src};
-  while (!queue.empty()) {
-    Dfa::State s = queue.front();
-    queue.pop_front();
-    if (static_cast<size_t>(depth[s]) >= max_steps) continue;
-    for (SymbolId y : syms) {
-      Dfa::State to = dfa.Step(s, y);
-      if (dfa.accepting(to)) {
-        // Reconstruct src → s, then append y. Checking acceptance on
-        // arrival (before the visited test) lets chains return to an
-        // already-visited accepting state — e.g. back to `src` itself.
-        std::vector<SymbolId> chain;
-        Dfa::State walk = s;
-        while (walk != src) {
-          chain.push_back(pre_sym[walk]);
-          walk = pre_state[walk];
-        }
-        std::reverse(chain.begin(), chain.end());
-        chain.push_back(y);
-        return chain;
-      }
-      if (depth[to] == -1) {
-        depth[to] = depth[s] + 1;
-        pre_state[to] = s;
-        pre_sym[to] = y;
-        queue.push_back(to);
-      }
-    }
-  }
-  return std::nullopt;
-}
-
 EdgeEval EvaluateEdge(const Dfa& dfa, const NodeState& ns,
                       const std::vector<SymbolId>& syms,
                       size_t max_chain_steps) {
   EdgeEval ev;
   if (syms.empty()) return ev;
-  for (Dfa::State s : ns.order) {
+  for (Dfa::State s : ns.reach.order) {
     if (ns.dist[s] < 0) continue;  // Dead state: no cascade progress.
     for (SymbolId y : syms) {
       Dfa::State to = dfa.Step(s, y);
@@ -366,11 +249,12 @@ EdgeEval EvaluateEdge(const Dfa& dfa, const NodeState& ns,
   // (start state first) so witnesses stay short and deterministic.
   constexpr size_t kMaxFireSources = 64;
   size_t tried = 0;
-  for (Dfa::State src : ns.order) {
+  SearchTree tree;
+  for (Dfa::State src : ns.reach.order) {
     if (ns.dist[src] < 0) continue;
     if (++tried > kMaxFireSources) break;
     std::optional<std::vector<SymbolId>> chain =
-        ShortestChain(dfa, src, syms, max_chain_steps);
+        ShortestAcceptedPath(dfa, src, syms, max_chain_steps, &tree);
     if (chain.has_value()) {
       ev.fires = true;
       ev.fire_source = src;
@@ -381,12 +265,10 @@ EdgeEval EvaluateEdge(const Dfa& dfa, const NodeState& ns,
   return ev;
 }
 
-bool Advanceable(const Dfa& dfa, const NodeState& ns,
-                 const std::vector<bool>& possible) {
-  for (Dfa::State s : ns.order) {
+bool Advanceable(const Dfa& dfa, const NodeState& ns) {
+  for (Dfa::State s : ns.reach.order) {
     if (ns.dist[s] < 0) continue;
-    for (SymbolId y = 0; y < static_cast<SymbolId>(dfa.alphabet_size()); ++y) {
-      if (!possible[y]) continue;
+    for (SymbolId y : ns.symbols) {
       Dfa::State to = dfa.Step(s, y);
       if (dfa.accepting(to)) return true;
       if (ns.dist[to] >= 0 && ns.dist[to] < ns.dist[s]) return true;
@@ -554,9 +436,11 @@ CascadeResult AnalyzeCascade(const std::vector<CascadeTrigger>& triggers,
         ns.possible_storage = ComputePossibleSymbols(*t.compiled);
         ns.possible = &ns.possible_storage;
       }
-      ForwardReach(t.compiled->dfa, *ns.possible, &ns);
-      DistanceToAccepting(t.compiled->dfa, *ns.possible, &ns);
-      ns.advanceable = Advanceable(t.compiled->dfa, ns, *ns.possible);
+      ns.symbols = AllowedSymbols(*ns.possible);
+      ns.reach = ReachableStates(t.compiled->dfa, t.compiled->dfa.start(),
+                                 ns.symbols);
+      ns.dist = DistanceToAccepting(t.compiled->dfa, *ns.possible);
+      ns.advanceable = Advanceable(t.compiled->dfa, ns);
     }
     g.nodes.push_back(std::move(node));
   }
@@ -820,76 +704,58 @@ CascadeResult AnalyzeCascade(const std::vector<CascadeTrigger>& triggers,
       }
     }
     if (witnessable) {
-      const CascadeTrigger& head = triggers[first];
-      std::optional<std::vector<SymbolId>> priming = ShortestAcceptedString(
-          head.compiled->dfa, *state[first].possible,
-          options.witness.max_steps);
-      auto replay = [&](const CascadeTrigger& t,
-                        const std::vector<SymbolId>& history,
-                        std::vector<bool>* occ) {
-        Oracle oracle(t.spec->event, &t.compiled->alphabet);
-        Result<std::vector<bool>> r = oracle.OccurrencePoints(history);
-        if (!r.ok() || r->empty() || !r->back()) return false;
-        *occ = std::move(*r);
-        return true;
+      const Dfa& head_dfa = triggers[first].compiled->dfa;
+      std::optional<std::vector<SymbolId>> priming =
+          ShortestAcceptedPath(head_dfa, head_dfa.start(),
+                               state[first].symbols, options.witness.max_steps);
+      // Each history must fire trigger `v` at its last step.
+      auto replay = [&](size_t v, const std::vector<SymbolId>& history,
+                        std::string claim) {
+        return ReplayWitness(triggers[v].compiled->alphabet,
+                             {triggers[v].spec->event}, {g.nodes[v].name},
+                             std::move(claim), history, AllFireAtEnd);
       };
       std::vector<WitnessHistory> histories;
       bool ok = priming.has_value();
       if (ok) {
-        std::vector<bool> occ;
-        ok = replay(head, *priming, &occ);
-        if (ok) {
-          WitnessHistory h;
-          h.claim = StrFormat(
-              "cascade priming: shortest realizable history firing '%s'",
-              g.nodes[first].name.c_str());
-          h.columns = {g.nodes[first].name};
-          for (size_t p = 0; p < priming->size(); ++p) {
-            WitnessStep step;
-            step.event =
-                RenderSymbolEvent(head.compiled->alphabet, (*priming)[p]);
-            step.fires = {occ[p]};
-            h.steps.push_back(std::move(step));
-          }
-          histories.push_back(std::move(h));
-        }
+        std::optional<WitnessHistory> h = replay(
+            first, *priming,
+            StrFormat("cascade priming: shortest realizable history firing "
+                      "'%s'",
+                      g.nodes[first].name.c_str()));
+        ok = h.has_value();
+        if (ok) histories.push_back(std::move(*h));
       }
       for (size_t hop = 0; ok && hop < cycle.edges.size(); ++hop) {
         size_t from_v = cycle.nodes[hop];
         size_t to_v = cycle.nodes[(hop + 1) % cycle.nodes.size()];
         const EdgeEval* ev = edge_eval[cycle.edges[hop]];
-        const CascadeTrigger& tgt = triggers[to_v];
         if (ev == nullptr || !ev->fires) {
           ok = false;
           break;
         }
         std::vector<SymbolId> history =
-            AccessString(state[to_v], tgt.compiled->dfa, ev->fire_source);
+            state[to_v].reach.PathTo(ev->fire_source);
         size_t prefix = history.size();
         history.insert(history.end(), ev->fire_chain.begin(),
                        ev->fire_chain.end());
-        std::vector<bool> occ;
-        ok = replay(tgt, history, &occ);
+        std::optional<WitnessHistory> h = replay(
+            to_v, history,
+            StrFormat("cascade step %zu: events posted by '%s' (action '%s') "
+                      "fire '%s'",
+                      hop + 1, g.nodes[from_v].name.c_str(),
+                      g.nodes[from_v].action.c_str(),
+                      g.nodes[to_v].name.c_str()));
+        ok = h.has_value();
         if (!ok) break;
-        WitnessHistory h;
-        h.claim = StrFormat(
-            "cascade step %zu: events posted by '%s' (action '%s') fire "
-            "'%s'",
-            hop + 1, g.nodes[from_v].name.c_str(),
-            g.nodes[from_v].action.c_str(), g.nodes[to_v].name.c_str());
-        h.columns = {g.nodes[to_v].name};
         for (size_t p = 0; p < history.size(); ++p) {
-          WitnessStep step;
-          step.event = RenderSymbolEvent(tgt.compiled->alphabet, history[p]);
-          step.note = p < prefix
-                          ? "priming (external)"
-                          : StrFormat("posted by '%s' action '%s'",
-                                      g.nodes[from_v].name.c_str(),
-                                      g.nodes[from_v].action.c_str());
-          step.fires = {occ[p]};
-          h.steps.push_back(std::move(step));
+          h->steps[p].note =
+              p < prefix ? "priming (external)"
+                         : StrFormat("posted by '%s' action '%s'",
+                                     g.nodes[from_v].name.c_str(),
+                                     g.nodes[from_v].action.c_str());
         }
-        histories.push_back(std::move(h));
+        histories.push_back(std::move(*h));
       }
       if (ok) {
         result.witnesses += histories.size();

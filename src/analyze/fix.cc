@@ -1,11 +1,11 @@
 #include "analyze/fix.h"
 
 #include <algorithm>
-#include <random>
 #include <utility>
 
 #include "analyze/automaton_check.h"
 #include "analyze/mask_check.h"
+#include "analyze/witness.h"
 #include "common/strutil.h"
 #include "lang/event_parser.h"
 #include "lang/lexer.h"
@@ -308,28 +308,17 @@ bool VerifyRewrite(const EventExprPtr& original, const EventExprPtr& fixed,
   if (!cmp.ok() || cmp->relation != PairRelation::kEquivalent) return false;
 
   // Gate 2: agreement with the §4 denotational oracle at every point of
-  // random realizable histories over the joint alphabet.
-  EventExprPtr core_a = norm_original;
-  EventExprPtr core_b = norm_fixed;
-  while (core_a->kind == EventExprKind::kMasked) core_a = core_a->children[0];
-  while (core_b->kind == EventExprKind::kMasked) core_b = core_b->children[0];
-  Result<Alphabet> joint = Alphabet::Build(*EventExpr::Or(core_a, core_b),
-                                           options.compile.alphabet);
-  if (!joint.ok()) return false;
-  std::vector<bool> possible = ComputeAlphabetPossibleSymbols(*joint);
-  std::vector<SymbolId> realizable;
-  for (size_t s = 0; s < possible.size(); ++s) {
-    if (possible[s]) realizable.push_back(static_cast<SymbolId>(s));
-  }
-  if (realizable.empty()) return true;  // No history exists to disagree on.
-
-  Oracle oracle_a(core_a, &*joint);
-  Oracle oracle_b(core_b, &*joint);
-  std::mt19937_64 rng(options.oracle_seed);
-  std::uniform_int_distribution<size_t> pick(0, realizable.size() - 1);
-  for (size_t h = 0; h < options.oracle_histories; ++h) {
-    std::vector<SymbolId> history(options.oracle_history_length);
-    for (SymbolId& sym : history) sym = realizable[pick(rng)];
+  // random realizable histories over the joint alphabet (none exist when
+  // no symbol is realizable: nothing to disagree on).
+  Result<std::optional<JointPair>> joint =
+      CompileJointPair(norm_original, norm_fixed, options.compile);
+  if (!joint.ok() || !joint->has_value()) return false;
+  const JointPair& pair = **joint;
+  Oracle oracle_a(pair.core_a, &pair.alphabet);
+  Oracle oracle_b(pair.core_b, &pair.alphabet);
+  for (const std::vector<SymbolId>& history : RandomRealizableHistories(
+           pair.possible, options.oracle_histories,
+           options.oracle_history_length, options.oracle_seed)) {
     Result<std::vector<bool>> pa = oracle_a.OccurrencePoints(history);
     Result<std::vector<bool>> pb = oracle_b.OccurrencePoints(history);
     if (!pa.ok() || !pb.ok() || *pa != *pb) return false;

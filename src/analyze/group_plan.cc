@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <random>
 
 #include "semantics/oracle.h"
 
@@ -29,11 +28,10 @@ bool OracleValidate(const CombinedProgram& program,
                     const GroupPlanOptions& options) {
   const Alphabet& alphabet = program.alphabet();
   std::vector<bool> possible = ComputeAlphabetPossibleSymbols(alphabet);
-  std::vector<SymbolId> realizable;
-  for (size_t s = 0; s < possible.size(); ++s) {
-    if (possible[s]) realizable.push_back(static_cast<SymbolId>(s));
+  if (std::none_of(possible.begin(), possible.end(),
+                   [](bool b) { return b; })) {
+    return false;
   }
-  if (realizable.empty()) return false;
 
   std::vector<Oracle> oracles;
   oracles.reserve(program.num_triggers());
@@ -41,12 +39,9 @@ bool OracleValidate(const CombinedProgram& program,
     oracles.emplace_back(program.spec(i).event, &alphabet);
   }
 
-  std::mt19937_64 rng(options.oracle_seed);
-  std::uniform_int_distribution<size_t> pick(0, realizable.size() - 1);
-  for (size_t h = 0; h < options.oracle_histories; ++h) {
-    std::vector<SymbolId> history(options.oracle_history_length);
-    for (SymbolId& sym : history) sym = realizable[pick(rng)];
-
+  for (const std::vector<SymbolId>& history : RandomRealizableHistories(
+           possible, options.oracle_histories,
+           options.oracle_history_length, options.oracle_seed)) {
     // Run the product automaton once; compare each member's bit with its
     // oracle at every history point.
     std::vector<uint64_t> accept(history.size());

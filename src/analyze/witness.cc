@@ -1,9 +1,10 @@
 #include "analyze/witness.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <deque>
 #include <map>
+#include <random>
 
 #include "analyze/mask_solver.h"
 #include "automaton/determinize.h"
@@ -173,57 +174,52 @@ std::string SymbolInfeasibilityNote(const Alphabet& alphabet,
   return "unrealizable: a required mask is constant";
 }
 
-std::optional<std::vector<SymbolId>> ShortestAcceptedString(
-    const Dfa& dfa, const std::vector<bool>& possible, size_t max_steps) {
-  if (dfa.num_states() == 0) return std::nullopt;
-  // BFS layer by layer; symbols ascending, so the first accepting state
-  // dequeued was reached by the lexicographically-least shortest string.
-  struct Visit {
-    Dfa::State state;
-    int via_state;     ///< Predecessor's index in `order`, -1 for roots.
-    SymbolId via_sym;
-  };
-  std::vector<bool> seen(dfa.num_states(), false);
-  std::vector<Visit> order;
-  std::deque<int> frontier;
-  std::vector<size_t> depth_of;
-
-  auto reconstruct = [&order](int idx) {
-    std::vector<SymbolId> path;
-    while (idx >= 0) {
-      path.push_back(order[idx].via_sym);
-      idx = order[idx].via_state;
-    }
-    std::reverse(path.begin(), path.end());
-    return path;
-  };
-
-  // Seed with every 1-step successor of the start (length >= 1 required).
-  for (size_t s = 0; s < dfa.alphabet_size(); ++s) {
-    if (!possible[s]) continue;
-    Dfa::State to = dfa.Step(dfa.start(), static_cast<SymbolId>(s));
-    if (seen[to]) continue;
-    seen[to] = true;
-    order.push_back({to, -1, static_cast<SymbolId>(s)});
-    depth_of.push_back(1);
-    frontier.push_back(static_cast<int>(order.size()) - 1);
+std::optional<WitnessHistory> ReplayWitness(
+    const Alphabet& alphabet, const std::vector<EventExprPtr>& subjects,
+    std::vector<std::string> columns, std::string claim,
+    const std::vector<SymbolId>& history, const ReplayCheck& valid) {
+  std::vector<std::vector<bool>> points;
+  points.reserve(subjects.size());
+  for (const EventExprPtr& subject : subjects) {
+    Result<std::vector<bool>> occurrence =
+        Oracle(subject, &alphabet).OccurrencePoints(history);
+    if (!occurrence.ok()) return std::nullopt;
+    points.push_back(std::move(*occurrence));
   }
-  while (!frontier.empty()) {
-    int idx = frontier.front();
-    frontier.pop_front();
-    if (dfa.accepting(order[idx].state)) return reconstruct(idx);
-    if (depth_of[idx] >= max_steps) continue;
-    for (size_t s = 0; s < dfa.alphabet_size(); ++s) {
-      if (!possible[s]) continue;
-      Dfa::State to = dfa.Step(order[idx].state, static_cast<SymbolId>(s));
-      if (seen[to]) continue;
-      seen[to] = true;
-      order.push_back({to, idx, static_cast<SymbolId>(s)});
-      depth_of.push_back(depth_of[idx] + 1);
-      frontier.push_back(static_cast<int>(order.size()) - 1);
+  if (!valid(points)) return std::nullopt;
+  WitnessHistory w;
+  w.claim = std::move(claim);
+  w.columns = std::move(columns);
+  w.steps.resize(history.size());
+  for (size_t p = 0; p < history.size(); ++p) {
+    w.steps[p].event = RenderSymbolEvent(alphabet, history[p]);
+    for (const std::vector<bool>& subject_points : points) {
+      w.steps[p].fires.push_back(subject_points[p]);
     }
   }
-  return std::nullopt;
+  return w;
+}
+
+bool AllFireAtEnd(const std::vector<std::vector<bool>>& points) {
+  return std::all_of(points.begin(), points.end(),
+                     [](const std::vector<bool>& p) {
+                       return !p.empty() && p.back();
+                     });
+}
+
+std::vector<std::vector<SymbolId>> RandomRealizableHistories(
+    const std::vector<bool>& possible, size_t count, size_t length,
+    uint64_t seed) {
+  std::vector<SymbolId> realizable = AllowedSymbols(possible);
+  if (realizable.empty()) return {};
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<size_t> pick(0, realizable.size() - 1);
+  std::vector<std::vector<SymbolId>> histories(
+      count, std::vector<SymbolId>(length));
+  for (std::vector<SymbolId>& history : histories) {
+    for (SymbolId& sym : history) sym = realizable[pick(rng)];
+  }
+  return histories;
 }
 
 namespace {
@@ -249,21 +245,27 @@ std::vector<SymbolId> BuildProbe(const Alphabet& alphabet,
   return probe;
 }
 
-/// Builds the steps of a single-subject history: events rendered from
-/// symbols, fires column = the oracle's occurrence points.
-std::vector<WitnessStep> BuildSteps(const Alphabet& alphabet,
-                                    const std::vector<SymbolId>& history,
-                                    const std::vector<bool>& occurrence) {
-  std::vector<WitnessStep> steps(history.size());
-  for (size_t i = 0; i < history.size(); ++i) {
-    steps[i].event = RenderSymbolEvent(alphabet, history[i]);
-    steps[i].fires = {i < occurrence.size() && occurrence[i]};
-  }
-  return steps;
-}
-
 bool GatesUnsupported(const CompiledEvent& compiled) {
   return compiled.num_gates() > 0;
+}
+
+/// Keeps a replayed witness in `result`, or counts its validation failure.
+/// Returns the kept history, for annotation.
+WitnessHistory* Keep(std::optional<WitnessHistory> w, WitnessResult* result) {
+  if (!w) {
+    ++result->validation_failures;
+    return nullptr;
+  }
+  result->histories.push_back(std::move(*w));
+  return &result->histories.back();
+}
+
+/// ReplayCheck: the single subject fires at no point from `from` on.
+ReplayCheck NeverFiresFrom(size_t from) {
+  return [from](const std::vector<std::vector<bool>>& points) {
+    return std::none_of(points[0].begin() + std::min(from, points[0].size()),
+                        points[0].end(), [](bool b) { return b; });
+  };
 }
 
 }  // namespace
@@ -274,53 +276,41 @@ WitnessResult EmptinessWitness(const CompiledEvent& compiled,
   WitnessResult result;
   if (GatesUnsupported(compiled)) return result;
   const Alphabet& alphabet = compiled.alphabet;
-  Oracle oracle(compiled.expr, &alphabet);
   std::vector<bool> possible = ComputeAlphabetPossibleSymbols(alphabet);
 
   // 1) The shortest symbol-level accepting path. Since the language over
   // the realizable symbols is empty (A001), any such path uses impossible
   // events — each annotated with the solver's refutation.
-  std::vector<bool> all(alphabet.size(), true);
-  std::optional<std::vector<SymbolId>> path =
-      ShortestAcceptedString(compiled.dfa, all, options.max_steps);
+  std::optional<std::vector<SymbolId>> path = ShortestAcceptedPath(
+      compiled.dfa, compiled.dfa.start(),
+      AllowedSymbols(std::vector<bool>(alphabet.size(), true)),
+      options.max_steps);
   if (path) {
-    Result<std::vector<bool>> points = oracle.OccurrencePoints(*path);
-    if (points.ok() && !points->empty() && points->back()) {
-      WitnessHistory w;
-      w.claim = StrFormat(
-          "the only histories matching the expression require impossible "
-          "events (shortest shown); '%s' cannot fire on any real history",
-          name.c_str());
-      w.columns = {name};
-      w.steps = BuildSteps(alphabet, *path, *points);
-      for (size_t i = 0; i < path->size(); ++i) {
-        if (!possible[(*path)[i]]) {
-          w.steps[i].note = SymbolInfeasibilityNote(alphabet, (*path)[i]);
-        }
+    WitnessHistory* w = Keep(
+        ReplayWitness(
+            alphabet, {compiled.expr}, {name},
+            StrFormat("the only histories matching the expression require "
+                      "impossible events (shortest shown); '%s' cannot fire "
+                      "on any real history",
+                      name.c_str()),
+            *path, AllFireAtEnd),
+        &result);
+    for (size_t i = 0; w != nullptr && i < path->size(); ++i) {
+      if (!possible[(*path)[i]]) {
+        w->steps[i].note = SymbolInfeasibilityNote(alphabet, (*path)[i]);
       }
-      result.histories.push_back(std::move(w));
-    } else {
-      ++result.validation_failures;
     }
   }
 
   // 2) A realizable probe the oracle confirms never fires.
-  std::vector<SymbolId> probe =
-      BuildProbe(alphabet, possible, options.probe_steps);
-  Result<std::vector<bool>> points = oracle.OccurrencePoints(probe);
-  if (points.ok() &&
-      std::none_of(points->begin(), points->end(), [](bool b) { return b; })) {
-    WitnessHistory w;
-    w.claim = StrFormat(
-        "probe: a realizable history on which '%s' never fires (validated "
-        "against the §4 oracle)",
-        name.c_str());
-    w.columns = {name};
-    w.steps = BuildSteps(alphabet, probe, *points);
-    result.histories.push_back(std::move(w));
-  } else {
-    ++result.validation_failures;
-  }
+  Keep(ReplayWitness(
+           alphabet, {compiled.expr}, {name},
+           StrFormat("probe: a realizable history on which '%s' never fires "
+                     "(validated against the §4 oracle)",
+                     name.c_str()),
+           BuildProbe(alphabet, possible, options.probe_steps),
+           NeverFiresFrom(0)),
+       &result);
   return result;
 }
 
@@ -330,26 +320,22 @@ WitnessResult UniversalityWitness(const CompiledEvent& compiled,
   WitnessResult result;
   if (GatesUnsupported(compiled)) return result;
   const Alphabet& alphabet = compiled.alphabet;
-  Oracle oracle(compiled.expr, &alphabet);
   std::vector<bool> possible = ComputeAlphabetPossibleSymbols(alphabet);
 
   std::vector<SymbolId> sample =
       BuildProbe(alphabet, possible, options.probe_steps);
   if (sample.empty()) return result;
-  Result<std::vector<bool>> points = oracle.OccurrencePoints(sample);
-  if (points.ok() &&
-      std::all_of(points->begin(), points->end(), [](bool b) { return b; })) {
-    WitnessHistory w;
-    w.claim = StrFormat(
-        "sample realizable history — '%s' fires at every step (it fires at "
-        "every point of every realizable history)",
-        name.c_str());
-    w.columns = {name};
-    w.steps = BuildSteps(alphabet, sample, *points);
-    result.histories.push_back(std::move(w));
-  } else {
-    ++result.validation_failures;
-  }
+  Keep(ReplayWitness(
+           alphabet, {compiled.expr}, {name},
+           StrFormat("sample realizable history — '%s' fires at every step "
+                     "(it fires at every point of every realizable history)",
+                     name.c_str()),
+           sample,
+           [](const std::vector<std::vector<bool>>& points) {
+             return std::all_of(points[0].begin(), points[0].end(),
+                                [](bool b) { return b; });
+           }),
+       &result);
   return result;
 }
 
@@ -362,45 +348,14 @@ WitnessResult DeadStateWitness(const CompiledEvent& compiled,
   const Dfa& dfa = compiled.dfa;
   std::vector<bool> possible = ComputeAlphabetPossibleSymbols(alphabet);
 
-  // Dead = reachable but no accepting state reachable from it: one
-  // backward closure from the accepting states (same computation as
-  // AnalyzeStates, but we need the set, not the count).
-  std::vector<std::vector<Dfa::State>> reverse(dfa.num_states());
-  for (size_t s = 0; s < dfa.num_states(); ++s) {
-    for (size_t sym = 0; sym < dfa.alphabet_size(); ++sym) {
-      if (!possible[sym]) continue;
-      reverse[dfa.Step(static_cast<Dfa::State>(s),
-                       static_cast<SymbolId>(sym))]
-          .push_back(static_cast<Dfa::State>(s));
-    }
-  }
-  std::vector<bool> live(dfa.num_states(), false);
-  std::deque<Dfa::State> frontier;
-  for (size_t s = 0; s < dfa.num_states(); ++s) {
-    if (dfa.accepting(static_cast<Dfa::State>(s))) {
-      live[s] = true;
-      frontier.push_back(static_cast<Dfa::State>(s));
-    }
-  }
-  while (!frontier.empty()) {
-    Dfa::State cur = frontier.front();
-    frontier.pop_front();
-    for (Dfa::State pred : reverse[cur]) {
-      if (!live[pred]) {
-        live[pred] = true;
-        frontier.push_back(pred);
-      }
-    }
-  }
-
-  // Shortest realizable path into a dead state: BFS on a DFA copy whose
-  // accepting set is the dead set.
-  Dfa probe_dfa = dfa;
-  for (size_t s = 0; s < dfa.num_states(); ++s) {
-    probe_dfa.SetAccepting(static_cast<Dfa::State>(s), !live[s]);
-  }
-  std::optional<std::vector<SymbolId>> path =
-      ShortestAcceptedString(probe_dfa, possible, options.max_steps);
+  // Shortest realizable path into a dead state: one from which no
+  // accepting state is reachable.
+  std::vector<int32_t> dist = DistanceToAccepting(dfa, possible);
+  SearchTree tree;
+  std::optional<std::vector<SymbolId>> path = ShortestPath(
+      dfa.start(), AllowedSymbols(possible), options.max_steps,
+      [&dfa](int32_t s, SymbolId y) { return dfa.Step(s, y); },
+      [&dist](int32_t s) { return dist[s] < 0; }, &tree);
   if (!path) return result;
   size_t entry = path->size() - 1;  // 0-based index of the entering step.
 
@@ -408,109 +363,21 @@ WitnessResult DeadStateWitness(const CompiledEvent& compiled,
   for (SymbolId s : BuildProbe(alphabet, possible, options.probe_steps)) {
     history.push_back(s);
   }
-  Oracle oracle(compiled.expr, &alphabet);
-  Result<std::vector<bool>> points = oracle.OccurrencePoints(history);
-  bool valid = points.ok();
-  if (valid) {
-    for (size_t i = entry; i < points->size(); ++i) {
-      if ((*points)[i]) valid = false;
-    }
+  WitnessHistory* w = Keep(
+      ReplayWitness(
+          alphabet, {compiled.expr}, {name},
+          StrFormat("shortest realizable history driving '%s' into a dead "
+                    "state (the probe suffix confirms it can never fire "
+                    "again)",
+                    name.c_str()),
+          history, NeverFiresFrom(entry)),
+      &result);
+  if (w != nullptr) {
+    w->steps[entry].note =
+        "dead: from this point no accepting state is reachable";
   }
-  if (!valid) {
-    ++result.validation_failures;
-    return result;
-  }
-  WitnessHistory w;
-  w.claim = StrFormat(
-      "shortest realizable history driving '%s' into a dead state (the "
-      "probe suffix confirms it can never fire again)",
-      name.c_str());
-  w.columns = {name};
-  w.steps = BuildSteps(alphabet, history, *points);
-  w.steps[entry].note =
-      "dead: from this point no accepting state is reachable";
-  result.histories.push_back(std::move(w));
   return result;
 }
-
-namespace {
-
-/// Mirror of CompareEventExprsDetailed's compilation pipeline: both cores
-/// over one joint alphabet. Fails (nullopt) exactly when the comparison
-/// would have been kIncomparable for structural reasons.
-struct JointPair {
-  EventExprPtr core_a;
-  EventExprPtr core_b;
-  Alphabet alphabet;
-  Dfa dfa_a;
-  Dfa dfa_b;
-};
-
-EventExprPtr StripMasks(EventExprPtr e) {
-  while (e->kind == EventExprKind::kMasked) e = e->children[0];
-  return e;
-}
-
-bool HasMaskedNode(const EventExpr& e) {
-  if (e.kind == EventExprKind::kMasked) return true;
-  for (const EventExprPtr& c : e.children) {
-    if (HasMaskedNode(*c)) return true;
-  }
-  return false;
-}
-
-std::optional<JointPair> BuildJointPair(const EventExprPtr& a,
-                                        const EventExprPtr& b,
-                                        const CompileOptions& options) {
-  JointPair joint;
-  joint.core_a = StripMasks(a);
-  joint.core_b = StripMasks(b);
-  if (HasMaskedNode(*joint.core_a) || HasMaskedNode(*joint.core_b)) {
-    return std::nullopt;
-  }
-  EventExprPtr joined = EventExpr::Or(joint.core_a, joint.core_b);
-  Result<Alphabet> alphabet = Alphabet::Build(*joined, options.alphabet);
-  if (!alphabet.ok()) return std::nullopt;
-  joint.alphabet = std::move(*alphabet);
-  Result<Nfa> nfa_a = CompileToNfa(*joint.core_a, joint.alphabet, options);
-  Result<Nfa> nfa_b = CompileToNfa(*joint.core_b, joint.alphabet, options);
-  if (!nfa_a.ok() || !nfa_b.ok()) return std::nullopt;
-  Result<Dfa> dfa_a = Determinize(*nfa_a, options.max_states);
-  Result<Dfa> dfa_b = Determinize(*nfa_b, options.max_states);
-  if (!dfa_a.ok() || !dfa_b.ok()) return std::nullopt;
-  joint.dfa_a = std::move(*dfa_a);
-  joint.dfa_b = std::move(*dfa_b);
-  return joint;
-}
-
-/// Builds + validates one two-column history: fires columns must match
-/// both oracles, and `expect_end` per column must hold at the last step.
-bool AppendPairHistory(const JointPair& joint, const Oracle& oracle_a,
-                       const Oracle& oracle_b,
-                       const std::vector<SymbolId>& history,
-                       const std::string& claim, const std::string& name_a,
-                       const std::string& name_b, bool expect_a_end,
-                       bool expect_b_end, WitnessResult* result) {
-  Result<std::vector<bool>> pa = oracle_a.OccurrencePoints(history);
-  Result<std::vector<bool>> pb = oracle_b.OccurrencePoints(history);
-  if (!pa.ok() || !pb.ok() || pa->empty() ||
-      pa->back() != expect_a_end || pb->back() != expect_b_end) {
-    ++result->validation_failures;
-    return false;
-  }
-  WitnessHistory w;
-  w.claim = claim;
-  w.columns = {name_a, name_b};
-  w.steps.resize(history.size());
-  for (size_t i = 0; i < history.size(); ++i) {
-    w.steps[i].event = RenderSymbolEvent(joint.alphabet, history[i]);
-    w.steps[i].fires = {(*pa)[i], (*pb)[i]};
-  }
-  result->histories.push_back(std::move(w));
-  return true;
-}
-
-}  // namespace
 
 WitnessResult PairWitness(const EventExprPtr& a, const EventExprPtr& b,
                           const std::string& name_a,
@@ -522,12 +389,24 @@ WitnessResult PairWitness(const EventExprPtr& a, const EventExprPtr& b,
       relation == PairRelation::kDistinct) {
     return result;
   }
-  std::optional<JointPair> joint = BuildJointPair(a, b, options.compile);
-  if (!joint) return result;
-  std::vector<bool> possible =
-      ComputeAlphabetPossibleSymbols(joint->alphabet);
-  Oracle oracle_a(joint->core_a, &joint->alphabet);
-  Oracle oracle_b(joint->core_b, &joint->alphabet);
+  Result<std::optional<JointPair>> compiled =
+      CompileJointPair(a, b, options.compile);
+  if (!compiled.ok() || !compiled->has_value()) return result;
+  const JointPair& joint = **compiled;
+  std::vector<SymbolId> symbols = AllowedSymbols(joint.possible);
+  // Replays a history through both cores; `a_end`/`b_end` is the firing
+  // each must show at the last step.
+  auto replay = [&](const std::vector<SymbolId>& history, std::string claim,
+                    bool a_end, bool b_end) {
+    Keep(ReplayWitness(joint.alphabet, {joint.core_a, joint.core_b},
+                       {name_a, name_b}, std::move(claim), history,
+                       [a_end, b_end](const auto& points) {
+                         return !points[0].empty() &&
+                                points[0].back() == a_end &&
+                                points[1].back() == b_end;
+                       }),
+         &result);
+  };
 
   // Witnesses speak about the *core* languages; when the verdict relied on
   // root-mask implication (A007), say so in the claim — the mask gates
@@ -539,15 +418,15 @@ WitnessResult PairWitness(const EventExprPtr& a, const EventExprPtr& b,
 
   // The "both fire" instance: shortest string in the contained language
   // (for equivalence, either one — intersect for symmetry).
-  const Dfa& inner = relation == PairRelation::kASubsumesB ? joint->dfa_b
+  const Dfa& inner = relation == PairRelation::kASubsumesB ? joint.dfa_b
                      : relation == PairRelation::kBSubsumesA
-                         ? joint->dfa_a
-                         : joint->dfa_b;
-  std::optional<std::vector<SymbolId>> both = ShortestAcceptedString(
-      relation == PairRelation::kEquivalent
-          ? IntersectDfa(joint->dfa_a, joint->dfa_b)
-          : inner,
-      possible, options.max_steps);
+                         ? joint.dfa_a
+                         : joint.dfa_b;
+  Dfa both_dfa = relation == PairRelation::kEquivalent
+                     ? IntersectDfa(joint.dfa_a, joint.dfa_b)
+                     : inner;
+  std::optional<std::vector<SymbolId>> both = ShortestAcceptedPath(
+      both_dfa, both_dfa.start(), symbols, options.max_steps);
   if (both) {
     std::string claim =
         relation == PairRelation::kEquivalent
@@ -563,8 +442,7 @@ WitnessResult PairWitness(const EventExprPtr& a, const EventExprPtr& b,
                                                                : name_b)
                             .c_str(),
                         mask_caveat);
-    AppendPairHistory(*joint, oracle_a, oracle_b, *both, claim, name_a,
-                      name_b, true, true, &result);
+    replay(*both, std::move(claim), true, true);
   }
 
   // The strictness instance for proper subsumption: a history firing only
@@ -572,18 +450,18 @@ WitnessResult PairWitness(const EventExprPtr& a, const EventExprPtr& b,
   if (relation == PairRelation::kASubsumesB ||
       relation == PairRelation::kBSubsumesA) {
     bool a_outer = relation == PairRelation::kASubsumesB;
-    const Dfa& outer_dfa = a_outer ? joint->dfa_a : joint->dfa_b;
-    const Dfa& inner_dfa = a_outer ? joint->dfa_b : joint->dfa_a;
-    std::optional<std::vector<SymbolId>> only = ShortestAcceptedString(
-        IntersectDfa(outer_dfa, ComplementSigmaPlus(inner_dfa)), possible,
-        options.max_steps);
+    const Dfa& outer_dfa = a_outer ? joint.dfa_a : joint.dfa_b;
+    const Dfa& inner_dfa = a_outer ? joint.dfa_b : joint.dfa_a;
+    Dfa only_dfa = IntersectDfa(outer_dfa, ComplementSigmaPlus(inner_dfa));
+    std::optional<std::vector<SymbolId>> only = ShortestAcceptedPath(
+        only_dfa, only_dfa.start(), symbols, options.max_steps);
     if (only) {
-      std::string claim = StrFormat(
-          "history firing '%s' but not '%s' — the containment is strict",
-          (a_outer ? name_a : name_b).c_str(),
-          (a_outer ? name_b : name_a).c_str());
-      AppendPairHistory(*joint, oracle_a, oracle_b, *only, claim, name_a,
-                        name_b, a_outer, !a_outer, &result);
+      replay(*only,
+             StrFormat("history firing '%s' but not '%s' — the containment "
+                       "is strict",
+                       (a_outer ? name_a : name_b).c_str(),
+                       (a_outer ? name_b : name_a).c_str()),
+             a_outer, !a_outer);
     }
   }
   return result;
@@ -595,103 +473,53 @@ WitnessResult GroupWitness(const CombinedProgram& program,
   WitnessResult result;
   if (program.num_triggers() < 2) return result;
   const Alphabet& alphabet = program.alphabet();
-  std::vector<bool> possible = ComputeAlphabetPossibleSymbols(alphabet);
+  const Dfa& dfa = program.dfa();
 
   // Shortest realizable history on which at least two members have fired
-  // (cumulatively): BFS over (product state, fired-members bitmask). The
-  // fired-set dimension is capped — past 16 members fall back to "any two
-  // members fired" tracked as a saturating counter.
-  const Dfa& dfa = program.dfa();
-  auto popcount2 = [](uint64_t m) {
-    int n = 0;
-    while (m != 0 && n < 2) {
-      m &= m - 1;
-      ++n;
-    }
-    return n;
+  // (cumulatively): the search over (product state, fired-members mask)
+  // nodes, interned to ids as the search discovers them. The budget of
+  // nodes discovered besides the root bounds the fired-mask blowup of
+  // large groups.
+  constexpr size_t kMaxNodes = 4097;
+  using Node = std::pair<Dfa::State, uint64_t>;
+  std::vector<Node> nodes{{dfa.start(), 0}};
+  std::map<Node, int32_t> ids{{nodes[0], 0}};
+  auto step = [&](int32_t node, SymbolId y) -> int32_t {
+    Dfa::State to = dfa.Step(nodes[node].first, y);
+    Node next{to, nodes[node].second | program.AcceptMask(to)};
+    auto it = ids.find(next);
+    if (it != ids.end()) return it->second;
+    if (nodes.size() > kMaxNodes) return -1;
+    nodes.push_back(next);
+    return ids[next] = static_cast<int32_t>(nodes.size() - 1);
   };
-  struct Node {
-    Dfa::State state;
-    uint64_t fired;
-    int via_node;
-    SymbolId via_sym;
+  auto two_fired = [&](int32_t node) {
+    return std::popcount(nodes[node].second) >= 2;
   };
-  std::map<std::pair<Dfa::State, uint64_t>, bool> seen;
-  std::vector<Node> order;
-  std::deque<int> frontier;
-  std::vector<size_t> depth_of;
-  std::optional<std::vector<SymbolId>> found;
-
-  auto visit = [&](Dfa::State to, uint64_t fired, int via, SymbolId sym,
-                   size_t depth) {
-    if (seen.count({to, fired}) != 0 || order.size() > 4096) return;
-    seen[{to, fired}] = true;
-    order.push_back({to, fired, via, sym});
-    depth_of.push_back(depth);
-    frontier.push_back(static_cast<int>(order.size()) - 1);
-  };
-  for (size_t s = 0; s < dfa.alphabet_size() && !found; ++s) {
-    if (!possible[s]) continue;
-    Dfa::State to = dfa.Step(dfa.start(), static_cast<SymbolId>(s));
-    visit(to, program.AcceptMask(to), -1, static_cast<SymbolId>(s), 1);
-  }
-  while (!frontier.empty() && !found) {
-    int idx = frontier.front();
-    frontier.pop_front();
-    if (popcount2(order[idx].fired) >= 2) {
-      std::vector<SymbolId> path;
-      for (int i = idx; i >= 0; i = order[i].via_node) {
-        path.push_back(order[i].via_sym);
-      }
-      std::reverse(path.begin(), path.end());
-      found = std::move(path);
-      break;
-    }
-    if (depth_of[idx] >= options.max_steps) continue;
-    for (size_t s = 0; s < dfa.alphabet_size(); ++s) {
-      if (!possible[s]) continue;
-      Dfa::State to = dfa.Step(order[idx].state, static_cast<SymbolId>(s));
-      visit(to, order[idx].fired | program.AcceptMask(to), idx,
-            static_cast<SymbolId>(s), depth_of[idx] + 1);
-    }
-  }
+  SearchTree tree;
+  std::optional<std::vector<SymbolId>> found = ShortestPath(
+      0, AllowedSymbols(ComputeAlphabetPossibleSymbols(alphabet)),
+      options.max_steps, step, two_fired, &tree);
   if (!found) return result;
 
   // Validate every member's per-step firing against its oracle.
-  std::vector<std::vector<bool>> member_points(program.num_triggers());
-  size_t fired_members = 0;
+  std::vector<EventExprPtr> members;
   for (size_t i = 0; i < program.num_triggers(); ++i) {
-    Oracle oracle(program.spec(i).event, &alphabet);
-    Result<std::vector<bool>> points = oracle.OccurrencePoints(*found);
-    if (!points.ok()) {
-      ++result.validation_failures;
-      return result;
-    }
-    member_points[i] = std::move(*points);
-    if (std::any_of(member_points[i].begin(), member_points[i].end(),
-                    [](bool b) { return b; })) {
-      ++fired_members;
-    }
+    members.push_back(program.spec(i).event);
   }
-  if (fired_members < 2) {
-    ++result.validation_failures;
-    return result;
-  }
-
-  WitnessHistory w;
-  w.claim =
-      "shortest realizable history on which two of the grouped triggers "
-      "fire — one shared automaton step would serve both";
-  w.columns = member_names;
-  w.steps.resize(found->size());
-  for (size_t p = 0; p < found->size(); ++p) {
-    w.steps[p].event = RenderSymbolEvent(alphabet, (*found)[p]);
-    w.steps[p].fires.resize(program.num_triggers());
-    for (size_t i = 0; i < program.num_triggers(); ++i) {
-      w.steps[p].fires[i] = member_points[i][p];
-    }
-  }
-  result.histories.push_back(std::move(w));
+  Keep(ReplayWitness(
+           alphabet, members, member_names,
+           "shortest realizable history on which two of the grouped triggers "
+           "fire — one shared automaton step would serve both",
+           *found,
+           [](const std::vector<std::vector<bool>>& points) {
+             return std::count_if(points.begin(), points.end(),
+                                  [](const std::vector<bool>& p) {
+                                    return std::find(p.begin(), p.end(),
+                                                     true) != p.end();
+                                  }) >= 2;
+           }),
+       &result);
   return result;
 }
 

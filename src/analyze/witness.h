@@ -1,6 +1,7 @@
 #ifndef ODE_ANALYZE_WITNESS_H_
 #define ODE_ANALYZE_WITNESS_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,11 +20,11 @@ namespace ode {
 ///
 /// ## Construction
 ///
-/// Histories are found by breadth-first shortest-path search over the
-/// (product) DFA restricted to *realizable* micro-symbols (symbols whose
-/// signed mask conjunction the solver cannot refute), so every witness is a
-/// history the run-time system could actually observe. Symbols are explored
-/// in ascending order, making each witness the lexicographically-least
+/// Histories are found by the analyzer's search kernel (ShortestPath in
+/// analyze/automaton_check.h) over the (product) DFA restricted to
+/// *realizable* micro-symbols (symbols whose signed mask conjunction the
+/// solver cannot refute), so every witness is a history the run-time
+/// system could actually observe, and the lexicographically-least
 /// shortest one — rendering is deterministic and diff-stable. Concrete
 /// argument values come from solver model generation (Fourier–Motzkin
 /// back-substitution over the symbol's signed mask conjunction, integral
@@ -104,7 +105,7 @@ WitnessResult GroupWitness(const CombinedProgram& program,
                            const std::vector<std::string>& member_names,
                            const WitnessOptions& options = {});
 
-/// --- Building blocks (exposed for tests and the group planner) ---------
+/// --- Building blocks (shared with cascade, group planning and --fix) ----
 
 /// Renders one micro-symbol as a concrete event: `withdraw(q=150)` for a
 /// method symbol (argument values from solver model generation over the
@@ -118,11 +119,29 @@ std::string RenderSymbolEvent(const Alphabet& alphabet, SymbolId symbol);
 std::string SymbolInfeasibilityNote(const Alphabet& alphabet,
                                     SymbolId symbol);
 
-/// Lexicographically-least shortest string of length in [1, max_steps]
-/// accepted by the DFA using only `possible` symbols; nullopt when none
-/// exists within the cap. `possible` must have dfa.alphabet_size() entries.
-std::optional<std::vector<SymbolId>> ShortestAcceptedString(
-    const Dfa& dfa, const std::vector<bool>& possible, size_t max_steps);
+/// The replay kernel: runs `history` through the §4 oracle of each
+/// subject (over `alphabet`) and renders it as a witness — one step per
+/// symbol (RenderSymbolEvent), `fires[i]` the occurrence bit of subject
+/// i, whose column is `columns[i]`. nullopt when a replay fails or
+/// `valid` rejects the per-subject occurrence points: the history is not
+/// the claimed evidence, and the caller counts a validation failure.
+using ReplayCheck =
+    std::function<bool(const std::vector<std::vector<bool>>& points)>;
+std::optional<WitnessHistory> ReplayWitness(
+    const Alphabet& alphabet, const std::vector<EventExprPtr>& subjects,
+    std::vector<std::string> columns, std::string claim,
+    const std::vector<SymbolId>& history, const ReplayCheck& valid);
+
+/// ReplayCheck: every subject occurs at the history's last point.
+bool AllFireAtEnd(const std::vector<std::vector<bool>>& points);
+
+/// `count` seeded pseudo-random histories of `length` symbols, each drawn
+/// uniformly from the `possible` ones — the sample on which the group
+/// planner and --fix cross-check automata against the §4 oracle. Empty
+/// when no symbol is possible.
+std::vector<std::vector<SymbolId>> RandomRealizableHistories(
+    const std::vector<bool>& possible, size_t count, size_t length,
+    uint64_t seed);
 
 }  // namespace ode
 

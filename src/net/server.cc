@@ -400,23 +400,14 @@ bool IngestServer::PumpDeferred(Worker* w, Conn* conn) {
 IngestServer::FrameResult IngestServer::HandlePost(
     Conn* conn, runtime::IngestEvent* event) {
   const uint64_t seq = event->producer_seq;
-  if (!conn->identity.empty() && conn->dedup.Contains(seq)) {
-    // Exactly-once replay dedup: an earlier connection (possibly in a
-    // previous server process, recovered from the WAL) already applied
-    // this seq. ACK it so the client trims its retry buffer, but do not
-    // post it again.
-    posts_deduped_.fetch_add(1, std::memory_order_relaxed);
-    conn->last_accepted_seq = seq;
-    ++conn->accepted_since_ack;
-    MaybeAck(conn, /*force=*/false);
-    return FrameResult::kContinue;
-  }
   bool duplicate = false;
   Status s = rt_->TryPost(event, conn->producer, &duplicate);
   if (s.ok()) {
-    // The runtime's atomic applied-seq check is the authoritative dedup:
-    // it catches replayed seqs the HELLO snapshot missed because the
-    // predecessor connection was still draining on another worker.
+    // Exactly-once replay dedup: the runtime's atomic applied-seq check
+    // reports a seq an earlier connection already applied (possibly in a
+    // previous server process, recovered from the WAL, or a predecessor
+    // connection still draining on another worker). It is ACKed so the
+    // client trims its retry buffer, but not posted again.
     if (duplicate) posts_deduped_.fetch_add(1, std::memory_order_relaxed);
     conn->last_accepted_seq = seq;
     ++conn->accepted_since_ack;
@@ -469,8 +460,8 @@ IngestServer::FrameResult IngestServer::DispatchFrame(Worker* w, Conn* conn,
     case FrameType::kHello: {
       // The decoder already enforced a non-empty identity within the cap.
       conn->identity = std::move(frame.identity);
-      conn->dedup = rt_->AppliedSeqs(conn->identity);
-      AppendHelloOk(&conn->out, frame.seq, conn->dedup.max_seq());
+      AppendHelloOk(&conn->out, frame.seq,
+                    rt_->AppliedSeqs(conn->identity).max_seq());
       return FrameResult::kContinue;
     }
     default:

@@ -15,7 +15,6 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "runtime/ingest_runtime.h"
-#include "wal/log_format.h"
 
 namespace ode {
 namespace net {
@@ -55,9 +54,9 @@ struct ServerOptions {
 ///    connection to the least-loaded of `io_threads` IO workers through a
 ///    mutex-protected mailbox + self-pipe wakeup.
 ///  * Each IO worker owns its connections outright — pollfd set, decoder
-///    state, write buffers, ACK watermarks, dedup snapshots — so the data
-///    path needs no locking. Per-worker activity folds into the shared
-///    server counters (relaxed atomics) and METRICS_REPLY.
+///    state, write buffers, ACK watermarks — so the data path needs no
+///    locking. Per-worker activity folds into the shared server counters
+///    (relaxed atomics) and METRICS_REPLY.
 ///  * One drain-service thread serializes kDrain barriers, so a
 ///    seconds-long Drain() never wedges an IO worker; DRAIN_OK is routed
 ///    back to the owning worker by connection id.
@@ -91,10 +90,11 @@ struct ServerOptions {
 /// under heavy connection churn.
 ///
 /// Exactly-once: a client that announces a durable identity (kHello)
-/// gets replay dedup. The server snapshots the runtime's applied-seq set
-/// for that identity at the handshake; a POST whose seq is in the set was
-/// applied by a previous connection (or a previous server *process*, when
-/// the runtime is durable) — it is ACKed without re-posting. Combined with
+/// gets replay dedup. Every identified POST goes through the runtime's
+/// atomic applied-seq check-and-record (IngestRuntime::TryPost); a seq
+/// already applied by a previous connection (or a previous server
+/// *process*, when the runtime is durable) is ACKed without re-posting.
+/// HELLO_OK carries the identity's applied watermark. Combined with
 /// the client's replay-unacked-on-reconnect, delivery for identified
 /// sessions is exactly-once across reconnects and crash-recovery restarts
 /// (docs/DURABILITY.md). The guarantees are per connection and therefore
@@ -132,7 +132,7 @@ class IngestServer {
     return frames_handled_.load(std::memory_order_relaxed);
   }
   /// Posts ACKed via the exactly-once dedup path (seq already applied for
-  /// the connection's identity) without re-entering the runtime.
+  /// the connection's identity) without being queued again.
   uint64_t posts_deduped() const {
     return posts_deduped_.load(std::memory_order_relaxed);
   }
@@ -167,15 +167,6 @@ class IngestServer {
     /// Durable identity announced by kHello; empty = anonymous session
     /// (no dedup, plain at-least-once).
     std::string identity;
-    /// Applied-seq snapshot for `identity`, taken at the handshake. A seq
-    /// in this set was applied by an earlier connection: ACK, don't post.
-    /// The snapshot is a lock-free fast path, not the full guarantee — a
-    /// predecessor connection may still be draining this identity's
-    /// frames on another worker when the snapshot is taken, so seqs it
-    /// posts afterwards are missing here. TryPost's atomic applied-seq
-    /// check (see IngestRuntime::TryPost) is the authoritative arbiter
-    /// that keeps those replays exactly-once.
-    wal::SeqSet dedup;
     /// Frames parked behind a full shard queue, strict arrival order.
     /// Non-empty ⇒ reads are masked (undecoded bytes wait in the decoder).
     std::deque<DeferredFrame> deferred;
@@ -227,7 +218,7 @@ class IngestServer {
   bool PumpDeferred(Worker* w, Conn* conn);
   /// Handles one decoded non-reply frame (posts go through HandlePost).
   FrameResult DispatchFrame(Worker* w, Conn* conn, Frame&& frame);
-  /// The TryPost handoff: dedup check, then a non-blocking post. kParked
+  /// The TryPost handoff: a non-blocking, deduplicating post. kParked
   /// leaves *event intact for the caller to park.
   FrameResult HandlePost(Conn* conn, runtime::IngestEvent* event);
   /// Writes as much pending output as the socket accepts. False on a dead

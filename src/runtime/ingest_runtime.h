@@ -158,10 +158,10 @@ class IngestRuntime {
   /// exactly-once arbiter: if the (identity, seq) pair was already
   /// accepted — even by a concurrent post on another thread, even if the
   /// event is still queued — TryPost returns OK, sets `*duplicate`, and
-  /// enqueues nothing (`*event` is untouched). The front end's HELLO-time
-  /// snapshot dedup is a lock-free fast path over the same state; this
-  /// check is what keeps replay exactly-once when a reconnecting client
-  /// races its dying predecessor connection on another IO worker.
+  /// enqueues nothing (`*event` is untouched). This is the network front
+  /// end's only dedup check: it keeps replay exactly-once even when a
+  /// reconnecting client races its dying predecessor connection on
+  /// another IO worker.
   Status TryPost(IngestEvent* event, ProducerMetrics* producer = nullptr,
                  bool* duplicate = nullptr);
 

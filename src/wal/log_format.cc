@@ -305,7 +305,10 @@ Result<SeqSet> SeqSet::Parse(std::string_view text) {
                   ? parse_u64(part, &lo) && (hi = lo, true)
                   : parse_u64(part.substr(0, dash), &lo) &&
                         parse_u64(part.substr(dash + 1), &hi);
-    if (!ok || hi < lo || (!first && lo <= prev_hi + 1 && prev_hi != 0)) {
+    // Runs must be sorted, disjoint and non-adjacent (adjacent runs would
+    // have been merged): lo > prev_hi + 1, written so that a run ending
+    // at UINT64_MAX cannot wrap.
+    if (!ok || hi < lo || (!first && (lo == 0 || lo - 1 <= prev_hi))) {
       return Status::InvalidArgument(
           StrFormat("bad seq set run '%.*s'", static_cast<int>(part.size()),
                     part.data()));

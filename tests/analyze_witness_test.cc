@@ -2,9 +2,10 @@
 // shipped fixture specifications must carry a concrete event history,
 // validated against the §4 oracle, demonstrating the claim — A001
 // emptiness, A002 universality, A004/A005/A007 pair relations, and G001
-// group suggestions. Also covers the exposed building blocks
-// (ShortestAcceptedString, RenderSymbolEvent) and the accounting
-// invariants (attached counters match, zero validation failures).
+// group suggestions. Also covers the exposed building blocks (the search
+// kernel's ShortestAcceptedPath and distance closure, RenderSymbolEvent)
+// and the accounting invariants (attached counters match, zero validation
+// failures).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -249,13 +250,71 @@ TEST(WitnessTest, ShortestAcceptedStringIsLexLeastShortest) {
   dfa.SetAccepting(1, true);
 
   std::optional<std::vector<SymbolId>> s =
-      ShortestAcceptedString(dfa, {true, true}, 4);
+      ShortestAcceptedPath(dfa, dfa.start(), {0, 1}, 4);
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(*s, (std::vector<SymbolId>{1}));
 
   // With symbol 1 unrealizable the language over possible symbols is
   // empty: no witness string exists.
-  EXPECT_FALSE(ShortestAcceptedString(dfa, {true, false}, 4).has_value());
+  EXPECT_FALSE(ShortestAcceptedPath(dfa, dfa.start(), {0}, 4).has_value());
+
+  // Over {0, 1, 2}, accepting {3}: from the start, `0 1` and `2 2` both
+  // accept in two steps; the search must return the lexicographically
+  // least. Accepting state 3 steps back to the start on every symbol.
+  Dfa chain(3, 4);
+  chain.SetStart(0);
+  const Dfa::State next[4][3] = {{1, 0, 2}, {1, 3, 2}, {2, 2, 3}, {0, 0, 0}};
+  for (Dfa::State q = 0; q < 4; ++q) {
+    for (SymbolId y = 0; y < 3; ++y) chain.SetStep(q, y, next[q][y]);
+  }
+  chain.SetAccepting(3, true);
+  const std::vector<SymbolId> all = {0, 1, 2};
+  EXPECT_EQ(ShortestAcceptedPath(chain, 0, all, 8),
+            (std::vector<SymbolId>{0, 1}));
+  EXPECT_EQ(ShortestAcceptedPath(chain, 0, {2}, 8),
+            (std::vector<SymbolId>{2, 2}));
+
+  // From a non-start state (a cascade fire chain's source).
+  EXPECT_EQ(ShortestAcceptedPath(chain, 2, all, 8),
+            (std::vector<SymbolId>{2}));
+
+  // An accepting root counts only when a non-empty path re-enters
+  // acceptance: 3 -0-> 0 -0-> 1 -1-> 3.
+  EXPECT_EQ(ShortestAcceptedPath(chain, 3, all, 8),
+            (std::vector<SymbolId>{0, 0, 1}));
+
+  // The depth cap bounds the path length.
+  EXPECT_FALSE(ShortestAcceptedPath(chain, 0, all, 1).has_value());
+  EXPECT_EQ(ShortestAcceptedPath(chain, 0, all, 2),
+            (std::vector<SymbolId>{0, 1}));
+  EXPECT_FALSE(ShortestAcceptedPath(chain, 3, all, 2).has_value());
+
+  // Distance to accepting agrees with A003's counts on a DFA with both a
+  // dead state (2: a non-accepting sink) and an unreachable one (3).
+  Dfa dead(2, 4);
+  dead.SetStart(0);
+  const Dfa::State dead_next[4][2] = {{1, 2}, {1, 2}, {2, 2}, {0, 0}};
+  for (Dfa::State q = 0; q < 4; ++q) {
+    for (SymbolId y = 0; y < 2; ++y) dead.SetStep(q, y, dead_next[q][y]);
+  }
+  dead.SetAccepting(1, true);
+  std::vector<int32_t> dist = DistanceToAccepting(dead, {true, true});
+  EXPECT_EQ(dist, (std::vector<int32_t>{1, 0, -1, 2}));
+  SearchTree reach = ReachableStates(dead, dead.start(), {0, 1});
+  size_t dead_states = 0;
+  size_t unreachable = 0;
+  for (Dfa::State q = 0; q < 4; ++q) {
+    if (!reach.reached(q)) {
+      ++unreachable;
+    } else if (dist[q] < 0) {
+      ++dead_states;
+    }
+  }
+  StateReport report = AnalyzeStates(dead, {true, true});
+  EXPECT_EQ(report.dead, dead_states);
+  EXPECT_EQ(report.unreachable, unreachable);
+  EXPECT_EQ(dead_states, 1u);
+  EXPECT_EQ(unreachable, 1u);
 }
 
 TEST(WitnessTest, ShortestAcceptedStringReplaysThroughOracle) {
@@ -263,8 +322,8 @@ TEST(WitnessTest, ShortestAcceptedStringReplaysThroughOracle) {
   // history at whose final point the expression occurs (§4).
   Compiled c = CompileOrDie("after a | after b");
   std::vector<bool> possible(c.event.alphabet.size(), true);
-  std::optional<std::vector<SymbolId>> s =
-      ShortestAcceptedString(c.event.dfa, possible, 8);
+  std::optional<std::vector<SymbolId>> s = ShortestAcceptedPath(
+      c.event.dfa, c.event.dfa.start(), AllowedSymbols(possible), 8);
   ASSERT_TRUE(s.has_value());
   Oracle oracle(c.expr, &c.event.alphabet);
   Result<std::vector<bool>> points = oracle.OccurrencePoints(*s);

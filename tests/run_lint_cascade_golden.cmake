@@ -7,13 +7,19 @@
 #
 # Inputs: -DLINT=<ode-lint binary> -DFIXTURE=<source .trig>
 #         -DEFFECTS=<effects sidecar> -DGOLDEN=<expected stdout>
-#         -DACTUAL=<where to dump actual>.
+#         -DACTUAL=<where to dump actual>
+#         [-DFORMAT=json: compare the --format=json document instead].
 
 get_filename_component(fixture_dir ${FIXTURE} DIRECTORY)
 get_filename_component(fixture_name ${FIXTURE} NAME)
 get_filename_component(effects_name ${EFFECTS} NAME)
+set(format_args)
+if(DEFINED FORMAT)
+  set(format_args --format=${FORMAT})
+endif()
 execute_process(
-  COMMAND ${LINT} --witness=on --effects=${effects_name} ${fixture_name}
+  COMMAND ${LINT} ${format_args} --witness=on --effects=${effects_name}
+          ${fixture_name}
   WORKING_DIRECTORY ${fixture_dir}
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 1)

@@ -5,11 +5,16 @@
 # must be accompanied by a golden update.
 #
 # Inputs: -DLINT=<ode-lint binary> -DFIXTURE=<source .trig>
-#         -DGOLDEN=<expected stdout> -DACTUAL=<where to dump actual>.
+#         -DGOLDEN=<expected stdout> -DACTUAL=<where to dump actual>
+#         [-DFORMAT=json: compare the --format=json document instead].
 
 get_filename_component(fixture_dir ${FIXTURE} DIRECTORY)
 get_filename_component(fixture_name ${FIXTURE} NAME)
-execute_process(COMMAND ${LINT} --witness=on ${fixture_name}
+set(format_args)
+if(DEFINED FORMAT)
+  set(format_args --format=${FORMAT})
+endif()
+execute_process(COMMAND ${LINT} ${format_args} --witness=on ${fixture_name}
   WORKING_DIRECTORY ${fixture_dir}
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 1)

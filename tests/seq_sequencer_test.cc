@@ -357,5 +357,50 @@ TEST(SequencerTest, RestoreLaneCountersResumesNumbering) {
   db.DetachSequencer();
 }
 
+TEST(SequencerTest, ClassSlotCapIsSixtyFour) {
+  // The publish path keeps one 64-bit active mask per class, so a class
+  // holds at most 64 class-scope slots: the 65th distinct trigger is
+  // refused, and every admitted slot, the 64th included, sees the stream.
+  Database db;
+  ClassDef def("wide");
+  def.AddAttr("touches", Value(0));
+  def.AddMethod(MethodDef{"add", {{"int", "d"}}, MethodKind::kUpdate,
+                          [](MethodContext*) { return Status::OK(); }});
+  std::vector<std::string> names;
+  for (int i = 0; i <= 64; ++i) {
+    names.push_back(std::string("C").append(std::to_string(i)));
+    def.AddTrigger(names.back() + "(): perpetual after add ==> count");
+  }
+  ODE_ASSERT_OK(db.RegisterAction("count", CountAction));
+  ODE_ASSERT_OK(db.RegisterClass(std::move(def)).status());
+  TxnId t = db.Begin().value();
+  Oid oid = db.New(t, "wide").value();
+  ODE_ASSERT_OK(db.Commit(t));
+
+  seq::Sequencer::Options options;
+  options.num_lanes = 2;
+  seq::Sequencer sequencer(&db, options);
+  db.AttachSequencer(&sequencer);
+  ODE_ASSERT_OK(sequencer.Start());
+
+  for (int i = 0; i < 64; ++i) {
+    ODE_ASSERT_OK(db.ActivateClassTrigger("wide", names[i]));
+  }
+  EXPECT_EQ(db.ActivateClassTrigger("wide", names[64]).code(),
+            StatusCode::kResourceExhausted);
+  ODE_ASSERT_OK(db.ActivateClassTrigger("wide", "C0"));  // Reuses its slot.
+
+  t = db.Begin().value();
+  ODE_ASSERT_OK(db.Call(t, oid, "add", {Value(1)}).status());
+  ODE_ASSERT_OK(db.Commit(t));
+  sequencer.WaitDrained();
+  EXPECT_EQ(db.ClassFireCount("wide", "C63"), 1u);
+  EXPECT_EQ(db.ClassFireCount("wide", "C64"), 0u);
+  EXPECT_EQ(db.PeekAttr(oid, "touches").value().AsInt().value(), 64);
+
+  sequencer.Stop();
+  db.DetachSequencer();
+}
+
 }  // namespace
 }  // namespace ode

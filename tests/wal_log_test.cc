@@ -111,6 +111,14 @@ TEST(SeqSetTest, ParseRoundtrip) {
   EXPECT_FALSE(SeqSet::Parse("3-1").ok());     // Inverted run.
   EXPECT_FALSE(SeqSet::Parse("1,,2").ok());    // Empty element.
   EXPECT_FALSE(SeqSet::Parse("banana").ok());  // Not numbers.
+  EXPECT_FALSE(SeqSet::Parse("3,4").ok());     // Adjacent runs.
+  // Overlap after a run ending at 2^64-1 (prev_hi + 1 would wrap), and
+  // repeats or adjacency after a run ending at 0.
+  EXPECT_FALSE(SeqSet::Parse("1-18446744073709551615,5").ok());
+  EXPECT_FALSE(SeqSet::Parse("0,0").ok());
+  EXPECT_FALSE(SeqSet::Parse("0,1").ok());
+  ODE_EXPECT_OK(SeqSet::Parse("0,2").status());
+  ODE_EXPECT_OK(SeqSet::Parse("1-5,7-18446744073709551615").status());
 }
 
 // ---- Record codec ------------------------------------------------------
