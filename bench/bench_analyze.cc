@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -68,7 +69,24 @@ std::string MakeRulebase(size_t n) {
   return source;
 }
 
+constexpr char kUsage[] =
+    "usage: bench_analyze [output.json] [n_triggers]\n"
+    "Writes per-layer analyzer throughput for a generated rulebase to\n"
+    "output.json (default BENCH_analyze.json; 1000 triggers).\n";
+
 int Run(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "-h") == 0 ||
+        std::strcmp(argv[i], "--help") == 0) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+    if (argv[i][0] == '-') {
+      std::fprintf(stderr, "bench_analyze: unknown option '%s'\n%s",
+                   argv[i], kUsage);
+      return 2;
+    }
+  }
   const char* out_path = argc > 1 ? argv[1] : "BENCH_analyze.json";
   size_t n = argc > 2 ? static_cast<size_t>(std::atol(argv[2])) : 1000;
 

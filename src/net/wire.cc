@@ -3,89 +3,13 @@
 #include <bit>
 #include <cstring>
 
+#include "common/byte_codec.h"
 #include "common/strutil.h"
 
 namespace ode {
 namespace net {
 
 namespace {
-
-// --- Little-endian primitives over std::string buffers. -----------------
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU16(std::string* out, uint16_t v) {
-  PutU8(out, static_cast<uint8_t>(v));
-  PutU8(out, static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  PutU16(out, static_cast<uint16_t>(v));
-  PutU16(out, static_cast<uint16_t>(v >> 16));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutBytes(std::string* out, std::string_view bytes) {
-  out->append(bytes.data(), bytes.size());
-}
-
-/// Bounds-checked sequential reader. Every Read* returns false (and reads
-/// nothing) once the cursor would pass the end; callers check ok() (or the
-/// accumulated flag) exactly once at the end of a payload decode.
-class Cursor {
- public:
-  Cursor(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool ReadU8(uint8_t* v) {
-    if (pos_ + 1 > size_) return Fail();
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-  bool ReadU16(uint16_t* v) {
-    uint8_t lo, hi;
-    if (!ReadU8(&lo) || !ReadU8(&hi)) return false;
-    *v = static_cast<uint16_t>(lo | (uint16_t{hi} << 8));
-    return true;
-  }
-  bool ReadU32(uint32_t* v) {
-    uint16_t lo, hi;
-    if (!ReadU16(&lo) || !ReadU16(&hi)) return false;
-    *v = lo | (uint32_t{hi} << 16);
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    uint32_t lo, hi;
-    if (!ReadU32(&lo) || !ReadU32(&hi)) return false;
-    *v = lo | (uint64_t{hi} << 32);
-    return true;
-  }
-  bool ReadBytes(size_t n, std::string* v) {
-    if (n > size_ || pos_ > size_ - n) return Fail();
-    v->assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool ok() const { return ok_; }
-  bool exhausted() const { return pos_ == size_; }
-
- private:
-  bool Fail() {
-    ok_ = false;
-    return false;
-  }
-
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 // --- Value (de)serialization. -------------------------------------------
 
@@ -106,7 +30,7 @@ void PutValue(std::string* out, const Value& v) {
     case ValueKind::kString: {
       std::string s = v.AsString().value();
       PutU32(out, static_cast<uint32_t>(s.size()));
-      PutBytes(out, s);
+      out->append(s);
       break;
     }
     case ValueKind::kOid:
@@ -115,7 +39,7 @@ void PutValue(std::string* out, const Value& v) {
   }
 }
 
-bool ReadValue(Cursor* in, Value* out) {
+bool ReadValue(ByteReader* in, Value* out) {
   uint8_t kind;
   if (!in->ReadU8(&kind)) return false;
   switch (static_cast<ValueKind>(kind)) {
@@ -176,7 +100,8 @@ void PutShardCounters(std::string* out, const runtime::ShardMetricsSnapshot& s) 
   PutU64(out, s.queue_high_water);
 }
 
-bool ReadShardCounters(Cursor* in, runtime::ShardMetricsSnapshot* s) {
+bool ReadShardCounters(ByteReader* in,
+                       runtime::ShardMetricsSnapshot* s) {
   return in->ReadU64(&s->enqueued) && in->ReadU64(&s->dropped) &&
          in->ReadU64(&s->rejected) && in->ReadU64(&s->processed) &&
          in->ReadU64(&s->fired) && in->ReadU64(&s->aborted) &&
@@ -195,11 +120,8 @@ size_t OpenFrame(std::string* out, FrameType type) {
 }
 
 void CloseFrame(std::string* out, size_t at) {
-  uint32_t payload = static_cast<uint32_t>(out->size() - at - kFrameHeaderBytes);
-  (*out)[at] = static_cast<char>(payload);
-  (*out)[at + 1] = static_cast<char>(payload >> 8);
-  (*out)[at + 2] = static_cast<char>(payload >> 16);
-  (*out)[at + 3] = static_cast<char>(payload >> 24);
+  StoreFixed(out->data() + at,
+             static_cast<uint32_t>(out->size() - at - kFrameHeaderBytes));
 }
 
 }  // namespace
@@ -297,7 +219,7 @@ Status AppendPost(std::string* out, uint64_t seq, Oid oid,
   PutU64(out, seq);
   PutU64(out, oid.id);
   PutU16(out, static_cast<uint16_t>(method.size()));
-  PutBytes(out, method);
+  out->append(method);
   PutU16(out, static_cast<uint16_t>(args.size()));
   for (const Value& v : args) PutValue(out, v);
   size_t payload = out->size() - at - kFrameHeaderBytes;
@@ -330,7 +252,7 @@ Status AppendHello(std::string* out, uint64_t seq,
   size_t at = OpenFrame(out, FrameType::kHello);
   PutU64(out, seq);
   PutU16(out, static_cast<uint16_t>(identity.size()));
-  PutBytes(out, identity);
+  out->append(identity);
   CloseFrame(out, at);
   return Status::OK();
 }
@@ -373,7 +295,7 @@ void AppendErr(std::string* out, uint64_t seq, WireError code,
   PutU64(out, seq);
   PutU16(out, static_cast<uint16_t>(code));
   PutU16(out, static_cast<uint16_t>(message.size()));
-  PutBytes(out, message);
+  out->append(message);
   CloseFrame(out, at);
 }
 
@@ -393,7 +315,7 @@ void AppendMetricsReply(std::string* out, uint64_t seq,
   PutU32(out, static_cast<uint32_t>(metrics.producers.size()));
   for (const auto& p : metrics.producers) {
     PutU16(out, static_cast<uint16_t>(p.name.size()));
-    PutBytes(out, p.name);
+    out->append(p.name);
     PutU64(out, p.posted);
     PutU64(out, p.accepted);
     PutU64(out, p.rejected);
@@ -436,17 +358,14 @@ FrameDecoder::State FrameDecoder::Next(Frame* out) {
   if (poisoned_) return State::kError;
   if (buffered() < kFrameHeaderBytes) return State::kNeedMore;
   const char* head = buf_.data() + pos_;
-  uint32_t payload_len = static_cast<uint8_t>(head[0]) |
-                         (uint32_t{static_cast<uint8_t>(head[1])} << 8) |
-                         (uint32_t{static_cast<uint8_t>(head[2])} << 16) |
-                         (uint32_t{static_cast<uint8_t>(head[3])} << 24);
+  const uint32_t payload_len = GetU32(head);
   if (payload_len > kMaxFramePayload) {
     return Fail(StrFormat("frame payload %u exceeds limit %u", payload_len,
                           kMaxFramePayload));
   }
   if (buffered() < kFrameHeaderBytes + payload_len) return State::kNeedMore;
   FrameType type = static_cast<FrameType>(static_cast<uint8_t>(head[4]));
-  Cursor in(head + kFrameHeaderBytes, payload_len);
+  ByteReader in(head + kFrameHeaderBytes, payload_len);
 
   *out = Frame{};
   out->type = type;

@@ -1,8 +1,9 @@
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
+#include "common/file_io.h"
 #include "common/strutil.h"
 #include "ode/database.h"
 #include "ode/snapshot_codec.h"
@@ -56,13 +57,19 @@ Result<Value> DecodeSnapshotValue(std::string_view s) {
     return Status::InvalidArgument("bad value encoding");
   }
   std::string_view tag = s.substr(0, colon);
-  std::string payload(s.substr(colon + 1));
-  if (tag == "int") return Value(static_cast<int64_t>(std::stoll(payload)));
-  if (tag == "dbl") return Value(std::stod(payload));
-  if (tag == "bool") return Value(payload == "1");
-  if (tag == "oid") return Value(Oid{std::stoull(payload)});
+  std::string_view payload = s.substr(colon + 1);
+  int64_t n = 0;
+  double d = 0;
+  uint64_t id = 0;
+  if (tag == "int" && ParseNumber(payload, &n)) return Value(n);
+  if (tag == "dbl" && ParseNumber(payload, &d)) return Value(d);
+  if (tag == "bool" && (payload == "0" || payload == "1")) {
+    return Value(payload == "1");
+  }
+  if (tag == "oid" && ParseNumber(payload, &id)) return Value(Oid{id});
   if (tag == "str") {
     std::string out;
+    out.reserve(payload.size());
     for (size_t i = 0; i < payload.size(); ++i) {
       if (payload[i] == '\\' && i + 1 < payload.size()) {
         ++i;
@@ -73,7 +80,9 @@ Result<Value> DecodeSnapshotValue(std::string_view s) {
     }
     return Value(std::move(out));
   }
-  return Status::InvalidArgument("unknown value tag");
+  return Status::InvalidArgument(
+      StrFormat("bad value encoding '%.*s'",
+                static_cast<int>(std::min<size_t>(s.size(), 64)), s.data()));
 }
 
 namespace {
@@ -82,9 +91,16 @@ std::string EncodeSpecField(const std::optional<int>& f) {
   return f.has_value() ? StrFormat("%d", *f) : "*";
 }
 
-std::optional<int> DecodeSpecField(const std::string& s) {
-  if (s == "*") return std::nullopt;
-  return std::stoi(s);
+bool DecodeSpecField(std::string_view s, std::optional<int>* out) {
+  int v = 0;
+  if (s == "*") {
+    *out = std::nullopt;
+  } else if (ParseNumber(s, &v)) {
+    *out = v;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -172,36 +188,23 @@ Status Database::SaveSnapshot(const std::string& path) const {
   ODE_ASSIGN_OR_RETURN(std::string body, SaveSnapshotText());
   body += StrFormat("checksum %llu\n",
                     static_cast<unsigned long long>(Fnv1a64(body)));
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::InvalidArgument(
-        StrFormat("cannot open '%s' for writing", path.c_str()));
-  }
-  out << body;
-  out.close();
-  if (!out) {
-    return Status::Internal(StrFormat("write to '%s' failed", path.c_str()));
-  }
-  return Status::OK();
+  return WriteFileAtomically(path, body, path + ".tmp");
 }
 
 Status Database::LoadSnapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound(StrFormat("cannot open '%s'", path.c_str()));
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::string content = buffer.str();
+  ODE_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
 
   // Verify the checksum covers everything before the checksum line.
   size_t checksum_pos = content.rfind("checksum ");
   if (checksum_pos == std::string::npos) {
     return Status::InvalidArgument("snapshot missing checksum");
   }
-  uint64_t declared =
-      std::stoull(content.substr(checksum_pos + 9));
+  std::string_view declared_text =
+      StripWhitespace(std::string_view(content).substr(checksum_pos + 9));
+  uint64_t declared = 0;
+  if (!ParseNumber(declared_text, &declared)) {
+    return Status::InvalidArgument("snapshot checksum line is malformed");
+  }
   uint64_t actual = Fnv1a64(std::string_view(content).substr(0, checksum_pos));
   if (declared != actual) {
     return Status::InvalidArgument("snapshot checksum mismatch (corrupt?)");
@@ -344,13 +347,16 @@ Status Database::LoadSnapshotText(std::string_view body) {
       t.mode = static_cast<TimeEventMode>(mode);
       t.next_fire = next_fire;
       t.refcount = refcount;
-      t.spec.year = DecodeSpecField(yr);
-      t.spec.month = DecodeSpecField(mon);
-      t.spec.day = DecodeSpecField(day);
-      t.spec.hour = DecodeSpecField(hr);
-      t.spec.minute = DecodeSpecField(min);
-      t.spec.second = DecodeSpecField(sec);
-      t.spec.ms = DecodeSpecField(ms);
+      if (!DecodeSpecField(yr, &t.spec.year) ||
+          !DecodeSpecField(mon, &t.spec.month) ||
+          !DecodeSpecField(day, &t.spec.day) ||
+          !DecodeSpecField(hr, &t.spec.hour) ||
+          !DecodeSpecField(min, &t.spec.minute) ||
+          !DecodeSpecField(sec, &t.spec.second) ||
+          !DecodeSpecField(ms, &t.spec.ms)) {
+        return Status::InvalidArgument(
+            StrFormat("bad timer spec in snapshot line '%s'", line.c_str()));
+      }
       timers.push_back(std::move(t));
     } else if (!tag.empty()) {
       return Status::InvalidArgument(

@@ -16,7 +16,6 @@
 #include "runtime/event_queue.h"
 #include "runtime/metrics.h"
 #include "runtime/shard.h"
-#include "seq/order_log.h"
 #include "seq/sequencer.h"
 #include "wal/log_format.h"
 #include "wal/log_writer.h"
@@ -318,7 +317,7 @@ class IngestRuntime {
   // ---- Class-scope sequencer (see docs/SEQUENCER.md) ----
   // Declaration order matters: ~Sequencer flushes through the order-log
   // writer, so the writer must outlive it.
-  std::unique_ptr<seq::OrderLogWriter> order_log_;
+  std::unique_ptr<wal::LogWriter> order_log_;
   std::unique_ptr<seq::Sequencer> sequencer_;
 };
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -86,7 +87,9 @@ class Shard {
   /// is what exactly-once dedup keys on — a dropped event was NOT applied.
   /// With a WAL attached, accepted non-replayed events are appended to the
   /// log inside the same critical section as the queue push (log order ==
-  /// queue order). The first log I/O failure (sticky in the writer)
+  /// queue order). An event the record codec cannot hold (a value text
+  /// over 65,535 bytes) is refused with kInvalidArgument before it is
+  /// queued. The first log I/O failure (sticky in the writer)
   /// permanently disables this shard's logging, fires on_wal_failure, and
   /// is swallowed: the event is already queued and will be processed, so
   /// ingestion continues in degraded (in-memory) mode.
@@ -169,6 +172,7 @@ class Shard {
   /// the log's record order matches the queue's event order. Uncontended
   /// (and untaken) when no WAL is attached.
   std::mutex wal_mu_;
+  std::string wal_payload_;  ///< Record encode scratch, under wal_mu_.
   /// Latched by the first WAL append failure (under wal_mu_); read lock-free
   /// by monitoring.
   std::atomic<bool> wal_degraded_{false};

@@ -1,119 +1,27 @@
 #include "seq/order_log.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/strutil.h"
-#include "ode/snapshot_codec.h"
 
 namespace ode {
 namespace seq {
 
-namespace {
-
-Status IoError(const char* op, const std::string& path) {
-  return Status::Internal(
-      StrFormat("%s '%s': %s", op, path.c_str(), std::strerror(errno)));
-}
-
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v));
-  out->push_back(static_cast<char>(v >> 8));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  PutU16(out, static_cast<uint16_t>(v));
-  PutU16(out, static_cast<uint16_t>(v >> 16));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t GetU32(const char* p) {
-  return static_cast<uint8_t>(p[0]) |
-         (uint32_t{static_cast<uint8_t>(p[1])} << 8) |
-         (uint32_t{static_cast<uint8_t>(p[2])} << 16) |
-         (uint32_t{static_cast<uint8_t>(p[3])} << 24);
-}
-
-/// Bounds-checked payload reader (same discipline as the WAL's: a failed
-/// read latches ok_ false and reads nothing).
-class Reader {
- public:
-  Reader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool ReadU8(uint8_t* v) {
-    if (pos_ + 1 > size_) return Fail();
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-  bool ReadU16(uint16_t* v) {
-    if (pos_ + 2 > size_) return Fail();
-    *v = static_cast<uint16_t>(
-        static_cast<uint8_t>(data_[pos_]) |
-        (uint16_t{static_cast<uint8_t>(data_[pos_ + 1])} << 8));
-    pos_ += 2;
-    return true;
-  }
-  bool ReadU32(uint32_t* v) {
-    if (pos_ + 4 > size_) return Fail();
-    *v = GetU32(data_ + pos_);
-    pos_ += 4;
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    if (pos_ + 8 > size_) return Fail();
-    uint64_t r = 0;
-    for (int i = 7; i >= 0; --i) {
-      r = (r << 8) | static_cast<uint8_t>(data_[pos_ + i]);
-    }
-    pos_ += 8;
-    *v = r;
-    return true;
-  }
-  bool ReadBytes(size_t n, std::string* v) {
-    if (n > size_ || pos_ > size_ - n) return Fail();
-    v->assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool ok() const { return ok_; }
-  bool exhausted() const { return pos_ == size_; }
-
- private:
-  bool Fail() {
-    ok_ = false;
-    return false;
-  }
-
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-Status EncodePayload(std::string* payload, const SeqEvent& ev) {
+Status EncodeOrderRecord(std::string* payload, const SeqEvent& ev) {
   if (ev.event.method_name.size() > wal::kMaxWalMethodLen ||
       ev.event.time_key.size() > wal::kMaxWalMethodLen ||
       ev.event.args.size() > wal::kMaxWalArgs ||
       ev.syms.size() > 0xffff) {
     return Status::InvalidArgument("order record exceeds codec caps");
   }
+  const size_t start = payload->size();
   PutU32(payload, ev.lane);
   PutU64(payload, ev.lane_seq);
   PutU32(payload, ev.class_id);
   PutU64(payload, ev.oid.id);
-  payload->push_back(static_cast<char>(ev.event.kind));
-  payload->push_back(static_cast<char>(ev.event.qualifier));
+  PutU8(payload, static_cast<uint8_t>(ev.event.kind));
+  PutU8(payload, static_cast<uint8_t>(ev.event.qualifier));
   PutU16(payload, static_cast<uint16_t>(ev.event.method_name.size()));
   payload->append(ev.event.method_name);
   PutU16(payload, static_cast<uint16_t>(ev.event.time_key.size()));
@@ -133,22 +41,16 @@ Status EncodePayload(std::string* payload, const SeqEvent& ev) {
     }
     PutU16(payload, static_cast<uint16_t>(arg.name.size()));
     payload->append(arg.name);
-    std::string text = EncodeSnapshotValue(arg.value);
-    if (text.size() > 0xffff) {
-      return Status::InvalidArgument("order record arg value exceeds cap");
-    }
-    PutU16(payload, static_cast<uint16_t>(text.size()));
-    payload->append(text);
+    ODE_RETURN_IF_ERROR(wal::PutValueText(payload, arg.value));
   }
-  if (payload->size() > wal::kMaxWalPayload) {
+  if (payload->size() - start > wal::kMaxWalPayload) {
     return Status::InvalidArgument("order record exceeds payload cap");
   }
   return Status::OK();
 }
 
-bool DecodePayload(const char* data, size_t size, SeqEvent* out,
-                   std::string* error) {
-  Reader in(data, size);
+Status DecodeOrderRecord(std::string_view payload, SeqEvent* out) {
+  ByteReader in(payload);
   uint32_t u32 = 0;
   uint64_t u64 = 0;
   uint8_t u8 = 0;
@@ -177,8 +79,7 @@ bool DecodePayload(const char* data, size_t size, SeqEvent* out,
   uint16_t nsyms = 0;
   in.ReadU16(&nsyms);
   if (!in.ok()) {
-    *error = "order record payload truncated";
-    return false;
+    return Status::InvalidArgument("order record payload truncated");
   }
   out->syms.clear();
   out->syms.reserve(nsyms);
@@ -186,51 +87,28 @@ bool DecodePayload(const char* data, size_t size, SeqEvent* out,
     uint32_t idx = 0;
     uint32_t sym = 0;
     if (!in.ReadU32(&idx) || !in.ReadU32(&sym)) {
-      *error = "order record symbol list truncated";
-      return false;
+      return Status::InvalidArgument("order record symbol list truncated");
     }
     out->syms.push_back(SeqSym{static_cast<int32_t>(idx),
                                static_cast<int32_t>(sym)});
   }
   uint16_t argc = 0;
   if (!in.ReadU16(&argc) || argc > wal::kMaxWalArgs) {
-    *error = "order record argument count invalid";
-    return false;
+    return Status::InvalidArgument("order record argument count invalid");
   }
   out->event.args.clear();
   out->event.args.reserve(argc);
   for (uint16_t i = 0; i < argc; ++i) {
     EventArg arg;
-    std::string text;
-    if (!in.ReadU16(&u16) || !in.ReadBytes(u16, &arg.name) ||
-        !in.ReadU16(&u16) || !in.ReadBytes(u16, &text)) {
-      *error = "order record argument truncated";
-      return false;
+    if (!in.ReadU16(&u16) || !in.ReadBytes(u16, &arg.name)) {
+      return Status::InvalidArgument("order record argument truncated");
     }
-    Result<Value> v = DecodeSnapshotValue(text);
-    if (!v.ok()) {
-      *error = StrFormat("order record argument value: %s",
-                         v.status().message().c_str());
-      return false;
-    }
-    arg.value = std::move(*v);
+    ODE_RETURN_IF_ERROR(wal::ReadValueText(&in, &arg.value));
     out->event.args.push_back(std::move(arg));
   }
   if (!in.exhausted()) {
-    *error = "order record has trailing payload bytes";
-    return false;
+    return Status::InvalidArgument("order record has trailing payload bytes");
   }
-  return true;
-}
-
-}  // namespace
-
-Status AppendOrderRecord(std::string* out, const SeqEvent& event) {
-  std::string payload;
-  ODE_RETURN_IF_ERROR(EncodePayload(&payload, event));
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, wal::Crc32(payload.data(), payload.size()));
-  out->append(payload);
   return Status::OK();
 }
 
@@ -238,164 +116,12 @@ std::string OrderLogPath(const std::string& dir) {
   return StrFormat("%s/seqorder.log", dir.c_str());
 }
 
-Result<OrderLogReadResult> ReadOrderLog(const std::string& path) {
-  OrderLogReadResult result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return result;  // Absent file: nothing sequenced yet.
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string data = buf.str();
-
-  size_t pos = 0;
-  while (pos < data.size()) {
-    if (data.size() - pos < 8) {
-      result.torn = true;
-      result.torn_error = "torn frame header";
-      break;
-    }
-    uint32_t len = GetU32(data.data() + pos);
-    uint32_t crc = GetU32(data.data() + pos + 4);
-    if (len > wal::kMaxWalPayload) {
-      result.torn = true;
-      result.torn_error = "frame length exceeds payload cap";
-      break;
-    }
-    if (data.size() - pos - 8 < len) {
-      result.torn = true;
-      result.torn_error = "torn frame payload";
-      break;
-    }
-    const char* payload = data.data() + pos + 8;
-    if (wal::Crc32(payload, len) != crc) {
-      result.torn = true;
-      result.torn_error = "payload checksum mismatch";
-      break;
-    }
-    SeqEvent ev;
-    std::string error;
-    if (!DecodePayload(payload, len, &ev, &error)) {
-      result.torn = true;
-      result.torn_error = std::move(error);
-      break;
-    }
-    result.records.push_back(std::move(ev));
-    pos += 8 + len;
-    result.valid_bytes = pos;
-  }
-  return result;
-}
-
-Status OrderLogWriter::Open(const std::string& path,
-                            const wal::WalOptions& options) {
-  Close();
-  fd_ = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
-  if (fd_ < 0) return IoError("open", path);
-  path_ = path;
-  options_ = options;
-  unsynced_ = 0;
-  has_failed_ = false;
-  failed_ = Status::OK();
-  return Status::OK();
-}
-
-Status OrderLogWriter::WriteFully(const char* data, size_t size) {
-  size_t written = 0;
-  while (written < size) {
-    ssize_t n = ::write(fd_, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return IoError("write", path_);
-    }
-    written += static_cast<size_t>(n);
-  }
-  bytes_written_.fetch_add(size, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-Status OrderLogWriter::MaybeFsync() {
-  bool sync = false;
-  switch (options_.fsync) {
-    case wal::FsyncPolicy::kAlways:
-      sync = true;
-      break;
-    case wal::FsyncPolicy::kEveryN:
-      sync = unsynced_ >= options_.fsync_every_n;
-      break;
-    case wal::FsyncPolicy::kEveryMs:
-      // The order log has no flusher thread; treat kEveryMs like kEveryN
-      // (bounded loss either way, barriers at Sync/Truncate/Stop).
-      sync = unsynced_ >= options_.fsync_every_n;
-      break;
-    case wal::FsyncPolicy::kNever:
-      break;
-  }
-  if (!sync) return Status::OK();
-  if (::fsync(fd_) != 0) return IoError("fsync", path_);
-  fsyncs_.fetch_add(1, std::memory_order_relaxed);
-  unsynced_ = 0;
-  return Status::OK();
-}
-
-Status OrderLogWriter::Append(const SeqEvent& event) {
-  if (has_failed_) return failed_;
-  if (fd_ < 0) return Status::FailedPrecondition("order log is not open");
-  buf_.clear();
-  ODE_RETURN_IF_ERROR(AppendOrderRecord(&buf_, event));
-  Status s = WriteFully(buf_.data(), buf_.size());
-  if (s.ok()) {
-    ++unsynced_;
-    s = MaybeFsync();
-  }
-  if (!s.ok()) {
-    has_failed_ = true;
-    failed_ = s;
-    return s;
-  }
-  appends_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-Status OrderLogWriter::Sync() {
-  if (has_failed_) return failed_;
-  if (fd_ < 0) return Status::OK();
-  if (unsynced_ == 0) return Status::OK();
-  if (::fsync(fd_) != 0) {
-    Status s = IoError("fsync", path_);
-    has_failed_ = true;
-    failed_ = s;
-    return s;
-  }
-  fsyncs_.fetch_add(1, std::memory_order_relaxed);
-  unsynced_ = 0;
-  return Status::OK();
-}
-
-Status OrderLogWriter::Truncate() {
-  if (has_failed_) return failed_;
-  if (fd_ < 0) return Status::FailedPrecondition("order log is not open");
-  if (::ftruncate(fd_, 0) != 0) {
-    Status s = IoError("ftruncate", path_);
-    has_failed_ = true;
-    failed_ = s;
-    return s;
-  }
-  if (::fsync(fd_) != 0) {
-    Status s = IoError("fsync", path_);
-    has_failed_ = true;
-    failed_ = s;
-    return s;
-  }
-  fsyncs_.fetch_add(1, std::memory_order_relaxed);
-  unsynced_ = 0;
-  return Status::OK();
-}
-
-void OrderLogWriter::Close() {
-  if (fd_ >= 0) {
-    if (unsynced_ > 0 && !has_failed_) (void)::fsync(fd_);
-    ::close(fd_);
-    fd_ = -1;
-  }
+Result<wal::LogContents<SeqEvent>> ReadOrderLog(const std::string& path) {
+  wal::LogContents<SeqEvent> contents;
+  Status s = wal::ReadLogContents(path, DecodeOrderRecord, &contents);
+  // Absent file: nothing sequenced yet.
+  if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
+  return contents;
 }
 
 }  // namespace seq

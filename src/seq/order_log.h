@@ -1,15 +1,13 @@
 #ifndef ODE_SEQ_ORDER_LOG_H_
 #define ODE_SEQ_ORDER_LOG_H_
 
-#include <atomic>
-#include <cstdint>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "seq/seq_event.h"
-#include "wal/log_format.h"
+#include "wal/log_reader.h"
 
 namespace ode {
 namespace seq {
@@ -18,75 +16,28 @@ namespace seq {
 /// applied SeqEvent, written *behind* the apply (logged ⊆ applied, so a
 /// crash loses at most the applied-but-unlogged suffix, which shard-WAL
 /// replay re-derives and re-applies — see docs/SEQUENCER.md#durability).
-/// The on-disk framing is the WAL's u32 len | u32 crc32 | payload; the
-/// payload carries (lane, lane_seq, class, oid), the full posted event,
-/// and the publish-time classification so recovery replays the exact
+/// The file is a wal::LogWriter log (same framing, fsync policies, group
+/// commit and sticky failure as a shard WAL); only the payload is the
+/// order log's own: (lane, lane_seq, class, oid), the full posted event,
+/// and the publish-time classification, so recovery replays the exact
 /// symbols without re-evaluating masks against post-recovery state.
 ///
-/// Encodes to at most kMaxWalPayload bytes; larger events fail Append with
-/// kInvalidArgument (counted by the sequencer, never fatal).
-Status AppendOrderRecord(std::string* out, const SeqEvent& event);
+/// Appends one payload to *payload. An event over the codec caps (at most
+/// kMaxWalPayload bytes, 65,535 per value text) is kInvalidArgument; the
+/// sequencer counts it as an apply error and keeps logging.
+Status EncodeOrderRecord(std::string* payload, const SeqEvent& event);
+/// Decodes one whole payload; kInvalidArgument when it is malformed.
+Status DecodeOrderRecord(std::string_view payload, SeqEvent* out);
 
 /// The file holding the sequencer order log under a WAL directory. The
 /// ".log" suffix keeps it invisible to wal::ListShardLogs ("shard-*.wal").
 std::string OrderLogPath(const std::string& dir);
 
-struct OrderLogReadResult {
-  std::vector<SeqEvent> records;
-  bool torn = false;          ///< Invalid tail discarded (crash mid-append).
-  std::string torn_error;
-  uint64_t valid_bytes = 0;   ///< Prefix length that decoded cleanly.
-};
-
 /// Reads every valid record; a missing file yields an empty result. Torn
-/// or corrupt tails are tolerated and reported, mirroring wal::ReadLogFile
+/// or corrupt tails are tolerated and reported, as by wal::ReadLogFile
 /// (the order log is truncate-on-checkpoint, so corruption mid-file is a
 /// torn tail from the crash, not silent history loss).
-Result<OrderLogReadResult> ReadOrderLog(const std::string& path);
-
-/// Appender over the order log file. Not internally synchronized: only the
-/// sequencer thread appends, and Truncate runs only from checkpoint (shards
-/// paused, sequencer drained). Same sticky-failure discipline as
-/// wal::LogWriter: after an I/O error every Append fails fast, which the
-/// runtime escalates to wal-degraded mode.
-class OrderLogWriter {
- public:
-  OrderLogWriter() = default;
-  ~OrderLogWriter() { Close(); }
-
-  OrderLogWriter(const OrderLogWriter&) = delete;
-  OrderLogWriter& operator=(const OrderLogWriter&) = delete;
-
-  Status Open(const std::string& path, const wal::WalOptions& options);
-  Status Append(const SeqEvent& event);
-  /// Fsync barrier for the non-kAlways policies.
-  Status Sync();
-  /// Empties the file (checkpoint truncation) and fsyncs.
-  Status Truncate();
-  void Close();
-
-  bool open() const { return fd_ >= 0; }
-  uint64_t appends() const { return appends_.load(std::memory_order_relaxed); }
-  uint64_t fsyncs() const { return fsyncs_.load(std::memory_order_relaxed); }
-  uint64_t bytes_written() const {
-    return bytes_written_.load(std::memory_order_relaxed);
-  }
-
- private:
-  Status WriteFully(const char* data, size_t size);
-  Status MaybeFsync();
-
-  int fd_ = -1;
-  std::string path_;
-  wal::WalOptions options_;
-  std::string buf_;  ///< Encode scratch, reused per append.
-  uint64_t unsynced_ = 0;
-  std::atomic<uint64_t> appends_{0};
-  std::atomic<uint64_t> fsyncs_{0};
-  std::atomic<uint64_t> bytes_written_{0};
-  bool has_failed_ = false;
-  Status failed_ = Status::OK();
-};
+Result<wal::LogContents<SeqEvent>> ReadOrderLog(const std::string& path);
 
 }  // namespace seq
 }  // namespace ode

@@ -1,15 +1,8 @@
 #include "wal/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
+#include "common/file_io.h"
 #include "common/strutil.h"
 #include "ode/snapshot_codec.h"
 
@@ -71,19 +64,6 @@ Result<std::string> UnescapeToken(std::string_view s) {
   return out;
 }
 
-bool ParseU64(std::string_view token, uint64_t* out) {
-  if (token.empty() || token.size() > 20) return false;
-  uint64_t v = 0;
-  for (char c : token) {
-    if (c < '0' || c > '9') return false;
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (v > (UINT64_MAX - digit) / 10) return false;
-    v = v * 10 + digit;
-  }
-  *out = v;
-  return true;
-}
-
 void AppendMetricCounters(std::string* out,
                           const runtime::ShardMetricsSnapshot& m) {
   *out += StrFormat(
@@ -106,7 +86,7 @@ bool ParseMetricCounters(const std::vector<std::string>& tokens, size_t at,
                           &m->queue_high_water};
   if (tokens.size() != at + 11) return false;
   for (size_t i = 0; i < 11; ++i) {
-    if (!ParseU64(tokens[at + i], fields[i])) return false;
+    if (!ParseNumber(tokens[at + i], fields[i])) return false;
   }
   return true;
 }
@@ -163,7 +143,7 @@ std::string Serialize(const CheckpointData& data) {
 
 /// Line iterator over the checkpoint text that can also hand out a raw
 /// byte block (the embedded snapshot body).
-struct Cursor {
+struct LineCursor {
   std::string_view content;
   size_t pos = 0;
 
@@ -208,14 +188,13 @@ Result<CheckpointData> Parse(std::string_view content) {
   if (!checksum_line.empty() && checksum_line.back() == '\n') {
     checksum_line.remove_suffix(1);
   }
-  uint64_t want = std::strtoull(
-      std::string(checksum_line.substr(strlen("checksum "))).c_str(),
-      nullptr, 16);
-  if (want != Fnv1a64(content.substr(0, checksum_at))) {
+  uint64_t want = 0;
+  if (!ParseNumber(checksum_line.substr(strlen("checksum ")), &want, 16) ||
+      want != Fnv1a64(content.substr(0, checksum_at))) {
     return corrupt("checksum mismatch");
   }
 
-  Cursor cursor{content.substr(0, checksum_at)};
+  LineCursor cursor{content.substr(0, checksum_at)};
   std::string_view line;
   if (!cursor.NextLine(&line) || line != kMagic) {
     return corrupt("bad magic");
@@ -231,7 +210,7 @@ Result<CheckpointData> Parse(std::string_view content) {
 
     if (kind == "shards") {
       uint64_t n = 0;
-      if (tokens.size() != 2 || !ParseU64(tokens[1], &n) || n == 0 ||
+      if (tokens.size() != 2 || !ParseNumber(tokens[1], &n) || n == 0 ||
           n > 4096) {
         return corrupt("bad shards line");
       }
@@ -240,15 +219,15 @@ Result<CheckpointData> Parse(std::string_view content) {
       saw_shards = true;
     } else if (kind == "covered") {
       uint64_t file = 0, lsn = 0;
-      if (tokens.size() != 3 || !ParseU64(tokens[1], &file) ||
-          !ParseU64(tokens[2], &lsn)) {
+      if (tokens.size() != 3 || !ParseNumber(tokens[1], &file) ||
+          !ParseNumber(tokens[2], &lsn)) {
         return corrupt("bad covered line");
       }
       data.covered_lsn[static_cast<size_t>(file)] = lsn;
     } else if (kind == "shardmetric") {
       uint64_t index = 0;
       runtime::ShardMetricsSnapshot m;
-      if (tokens.size() != 13 || !ParseU64(tokens[1], &index) ||
+      if (tokens.size() != 13 || !ParseNumber(tokens[1], &index) ||
           index != data.shard_metrics.size() ||
           !ParseMetricCounters(tokens, 2, &m)) {
         return corrupt("bad shardmetric line");
@@ -266,18 +245,18 @@ Result<CheckpointData> Parse(std::string_view content) {
       data.applied[std::move(id)] = std::move(seqs);
     } else if (kind == "seqlane") {
       uint64_t lane = 0, count = 0;
-      if (tokens.size() != 3 || !ParseU64(tokens[1], &lane) ||
+      if (tokens.size() != 3 || !ParseNumber(tokens[1], &lane) ||
           lane != data.seqlane.size() || lane > 4096 ||
-          !ParseU64(tokens[2], &count)) {
+          !ParseNumber(tokens[2], &count)) {
         return corrupt("bad seqlane line");
       }
       data.seqlane.push_back(count);
     } else if (kind == "inflight") {
       uint64_t shard = 0, oid = 0, seq = 0, argc = 0;
       if (tokens.size() != 7 || !saw_shards ||
-          !ParseU64(tokens[1], &shard) || shard >= data.num_shards ||
-          !ParseU64(tokens[2], &oid) || !ParseU64(tokens[3], &seq) ||
-          !ParseU64(tokens[6], &argc) || argc > kMaxWalArgs) {
+          !ParseNumber(tokens[1], &shard) || shard >= data.num_shards ||
+          !ParseNumber(tokens[2], &oid) || !ParseNumber(tokens[3], &seq) ||
+          !ParseNumber(tokens[6], &argc) || argc > kMaxWalArgs) {
         return corrupt("bad inflight line");
       }
       WalRecord record;
@@ -303,7 +282,7 @@ Result<CheckpointData> Parse(std::string_view content) {
       data.inflight[static_cast<size_t>(shard)].push_back(std::move(record));
     } else if (kind == "snapshot") {
       uint64_t n = 0;
-      if (tokens.size() != 2 || !ParseU64(tokens[1], &n)) {
+      if (tokens.size() != 2 || !ParseNumber(tokens[1], &n)) {
         return corrupt("bad snapshot line");
       }
       std::string_view body;
@@ -321,48 +300,6 @@ Result<CheckpointData> Parse(std::string_view content) {
   return data;
 }
 
-Status WriteAll(const std::string& path, const std::string& bytes) {
-  int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC,
-                  0644);
-  if (fd < 0) {
-    return Status::Internal(
-        StrFormat("open '%s': %s", path.c_str(), std::strerror(errno)));
-  }
-  Status status = Status::OK();
-  size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      status = Status::Internal(
-          StrFormat("write '%s': %s", path.c_str(), std::strerror(errno)));
-      break;
-    }
-    off += static_cast<size_t>(n);
-  }
-  if (status.ok() && ::fsync(fd) != 0) {
-    status = Status::Internal(
-        StrFormat("fsync '%s': %s", path.c_str(), std::strerror(errno)));
-  }
-  ::close(fd);
-  return status;
-}
-
-Status FsyncDir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::Internal(
-        StrFormat("open dir '%s': %s", dir.c_str(), std::strerror(errno)));
-  }
-  Status status = Status::OK();
-  if (::fsync(fd) != 0) {
-    status = Status::Internal(
-        StrFormat("fsync dir '%s': %s", dir.c_str(), std::strerror(errno)));
-  }
-  ::close(fd);
-  return status;
-}
-
 }  // namespace
 
 std::string CheckpointPath(const std::string& dir) {
@@ -375,27 +312,18 @@ std::string CheckpointTmpPath(const std::string& dir) {
 
 Status WriteCheckpointFile(const std::string& dir,
                            const CheckpointData& data) {
-  const std::string tmp = CheckpointTmpPath(dir);
-  const std::string final_path = CheckpointPath(dir);
-  ODE_RETURN_IF_ERROR(WriteAll(tmp, Serialize(data)));
-  if (::rename(tmp.c_str(), final_path.c_str()) != 0) {
-    return Status::Internal(StrFormat("rename '%s' -> '%s': %s", tmp.c_str(),
-                                      final_path.c_str(),
-                                      std::strerror(errno)));
-  }
-  return FsyncDir(dir);
+  return WriteFileAtomically(CheckpointPath(dir), Serialize(data),
+                             CheckpointTmpPath(dir));
 }
 
 Result<CheckpointData> ReadCheckpointFile(const std::string& dir) {
   const std::string path = CheckpointPath(dir);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  Result<std::string> content = ReadFileToString(path);
+  if (!content.ok()) {
     return Status::NotFound(
         StrFormat("no checkpoint at '%s'", path.c_str()));
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return Parse(buf.str());
+  return Parse(*content);
 }
 
 }  // namespace wal

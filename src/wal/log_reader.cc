@@ -8,39 +8,36 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
+#include "common/file_io.h"
 #include "common/strutil.h"
 
 namespace ode {
 namespace wal {
 
-Result<LogReadResult> ReadLogFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound(StrFormat("cannot open '%s'", path.c_str()));
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string bytes = buf.str();
-
-  LogReadResult result;
-  result.total_bytes = bytes.size();
+Status ScanLogFile(const std::string& path,
+                   const std::function<Status(std::string_view)>& on_payload,
+                   LogScan* out) {
+  ODE_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  out->total_bytes = bytes.size();
   size_t pos = 0;
   while (pos < bytes.size()) {
-    WalRecord record;
+    std::string_view payload;
     size_t consumed = 0;
     std::string error;
-    DecodeStatus s = DecodeRecord(bytes.data() + pos, bytes.size() - pos,
-                                  &record, &consumed, &error);
+    DecodeStatus s = DecodeFrame(bytes.data() + pos, bytes.size() - pos,
+                                 &payload, &consumed, &error);
     if (s == DecodeStatus::kRecord) {
-      result.records.push_back(std::move(record));
-      pos += consumed;
-      continue;
+      Status decoded = on_payload(payload);
+      if (decoded.ok()) {
+        pos += consumed;
+        continue;
+      }
+      s = DecodeStatus::kCorrupt;
+      error = decoded.message();
     }
-    result.torn = true;
-    result.torn_error =
+    out->torn = true;
+    out->torn_error =
         s == DecodeStatus::kNeedMore
             ? StrFormat("torn record at offset %zu (file ends mid-record)",
                         pos)
@@ -48,7 +45,13 @@ Result<LogReadResult> ReadLogFile(const std::string& path) {
                         error.c_str());
     break;
   }
-  result.valid_bytes = pos;
+  out->valid_bytes = pos;
+  return Status::OK();
+}
+
+Result<LogReadResult> ReadLogFile(const std::string& path) {
+  LogReadResult result;
+  ODE_RETURN_IF_ERROR(ReadLogContents(path, DecodeRecordPayload, &result));
   return result;
 }
 
@@ -81,19 +84,12 @@ std::vector<size_t> ListShardLogs(const std::string& dir) {
         name.substr(name.size() - kSuffix.size()) != kSuffix) {
       continue;
     }
-    std::string_view digits =
-        name.substr(kPrefix.size(),
-                    name.size() - kPrefix.size() - kSuffix.size());
     size_t index = 0;
-    bool numeric = !digits.empty();
-    for (char c : digits) {
-      if (c < '0' || c > '9') {
-        numeric = false;
-        break;
-      }
-      index = index * 10 + static_cast<size_t>(c - '0');
+    if (ParseNumber(name.substr(kPrefix.size(), name.size() - kPrefix.size() -
+                                                    kSuffix.size()),
+                    &index)) {
+      indices.push_back(index);
     }
-    if (numeric) indices.push_back(index);
   }
   ::closedir(d);
   std::sort(indices.begin(), indices.end());

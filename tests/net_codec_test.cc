@@ -179,6 +179,58 @@ TEST(NetCodecTest, MetricsReplyRoundTrip) {
   EXPECT_EQ(frame.metrics.producers[0].rejected, 2u);
 }
 
+// Pinned bytes: the encoders must keep producing exactly these frames.
+// Round trips alone would pass a change made the same way to encoder and
+// decoder.
+TEST(NetCodecTest, FramesMatchGoldenBytes) {
+  std::string post;
+  ODE_ASSERT_OK(AppendPost(&post, 5, Oid{42}, "add",
+                           {Value(7), Value("hi"), Value(2.5), Value(true),
+                            Value(), Value(Oid{9})}));
+  EXPECT_EQ(testing_util::HexOf(post),
+            "3c0000000105000000000000002a000000000000000300616464060001070000"
+            "0000000000040200000068690200000000000004400301000509000000000000"
+            "00");
+
+  std::string ack;
+  AppendAck(&ack, 1024);
+  EXPECT_EQ(testing_util::HexOf(ack), "08000000100004000000000000");
+
+  std::string hello;
+  ODE_ASSERT_OK(AppendHello(&hello, 1, "client-a"));
+  EXPECT_EQ(testing_util::HexOf(hello),
+            "120000000501000000000000000800636c69656e742d61");
+
+  RemoteMetrics metrics;
+  metrics.total.enqueued = 10;
+  metrics.total.processed = 9;
+  metrics.total.fired = 3;
+  metrics.total.queue_high_water = 4;
+  metrics.shards.resize(1);
+  metrics.shards[0].enqueued = 10;
+  metrics.shards[0].batches = 2;
+  metrics.producers.push_back({"conn-1", 10, 9, 1, 0});
+  metrics.sequencer.enabled = true;
+  metrics.sequencer.published = 6;
+  metrics.sequencer.sequenced = 5;
+  metrics.sequencer.firings = 1;
+  metrics.sequencer.lane_watermark = {5, 0};
+  std::string reply;
+  AppendMetricsReply(&reply, 2, metrics);
+  EXPECT_EQ(testing_util::HexOf(reply),
+            "4b010000140200000000000000010000000a0000000000000000000000000000"
+            "0000000000000000000900000000000000030000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0004000000000000000a00000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000020000000000000000000000000000"
+            "00010000000600636f6e6e2d310a000000000000000900000000000000010000"
+            "0000000000000000000000000001060000000000000005000000000000000100"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000200"
+            "05000000000000000000000000000000");
+}
+
 TEST(NetCodecTest, DecodesByteAtATime) {
   std::string bytes;
   AppendPost(&bytes, 1, Oid{5}, "add", {Value(int64_t{9})});

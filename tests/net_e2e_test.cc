@@ -627,6 +627,34 @@ TEST(NetE2eTest, ExactlyOnceAcrossServerRestartWithWal) {
   ODE_ASSERT_OK(rt2.Stop());
 }
 
+// A POST carrying a value the WAL cannot hold (its text over 65,535
+// bytes) is a legal frame; a durable server answers it with
+// ERR_INVALID_ARGUMENT, applies nothing for it, and keeps logging every
+// other post.
+TEST(NetE2eTest, OversizedValueGetsInvalidArgumentFromDurableServer) {
+  TempDir wal_dir;
+  IngestOptions durable;
+  durable.num_shards = 1;
+  durable.durability.dir = wal_dir.path();
+  durable.durability.fsync = wal::FsyncPolicy::kAlways;
+  Rig rig(durable, 1);
+
+  IngestClient client(rig.Client());
+  ODE_ASSERT_OK(client.Connect());
+  ODE_ASSERT_OK(client.Post(rig.oids[0], "add", {Value(1)}));
+  ODE_ASSERT_OK(
+      client.Post(rig.oids[0], "add", {Value(std::string(70000, 'x'))}));
+  ODE_ASSERT_OK(client.Post(rig.oids[0], "add", {Value(1)}));
+  EXPECT_EQ(client.Drain().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(client.stats().errors, 1u);
+  ODE_ASSERT_OK(rig.rt.Drain());
+  EXPECT_FALSE(rig.rt.wal_degraded());
+  EXPECT_EQ(rig.db.PeekAttr(rig.oids[0], "v").value().AsInt().value(), 2);
+  EXPECT_EQ(rig.rt.Metrics().wal.appends, 2u);
+  rig.server.Stop();
+  ODE_ASSERT_OK(rig.rt.Stop());
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace ode

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "ode/database.h"
+#include "ode/snapshot_codec.h"
 #include "test_util.h"
 
 namespace ode {
@@ -178,6 +182,85 @@ TEST(PersistenceTest, MissingFileIsNotFound) {
   SetUpSchema(&db);
   EXPECT_EQ(db.LoadSnapshot(TempPath("does_not_exist.ode")).code(),
             StatusCode::kNotFound);
+}
+
+// Malformed value text is reported, not thrown: a crafted WAL record or
+// snapshot must not abort the process, and a number must parse whole.
+TEST(PersistenceTest, MalformedValuesAreInvalidArgument) {
+  for (const char* text : {"int:x", "int:5x", "int:", "int: 5",
+                           "int:99999999999999999999", "dbl:1.5q", "dbl:",
+                           "oid:-1", "oid:7 ", "bool:2", "bool:", "nope:1"}) {
+    SCOPED_TRACE(text);
+    EXPECT_EQ(DecodeSnapshotValue(text).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (const Value& v :
+       {Value(), Value(std::numeric_limits<int64_t>::min()), Value(0.1),
+        Value(-1e300), Value(std::numeric_limits<double>::infinity()),
+        Value(true), Value(false), Value("a\nb\\c:"), Value(Oid{7})}) {
+    const std::string text = EncodeSnapshotValue(v);
+    SCOPED_TRACE(text);
+    Result<Value> back = DecodeSnapshotValue(text);
+    ODE_ASSERT_OK(back.status());
+    EXPECT_EQ(EncodeSnapshotValue(*back), text);
+  }
+}
+
+TEST(PersistenceTest, MalformedChecksumLineIsInvalidArgument) {
+  std::string path = TempPath("snap_checksum.ode");
+  Database db;
+  SetUpSchema(&db);
+  ODE_ASSERT_OK(db.SaveSnapshot(path));
+  std::ifstream in(path);
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  in.close();
+  size_t pos = content.rfind("checksum ");
+  ASSERT_NE(pos, std::string::npos);
+  std::ofstream out(path, std::ios::trunc);
+  out << content.substr(0, pos) << "checksum zz\n";
+  out.close();
+
+  Database db2;
+  SetUpSchema(&db2);
+  EXPECT_EQ(db2.LoadSnapshot(path).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PersistenceTest, MalformedTimerSpecIsInvalidArgument) {
+  Database db;
+  SetUpSchema(&db);
+  EXPECT_EQ(db.LoadSnapshotText("ODE-SNAPSHOT v1\n"
+                                "timer 1 0 0 1 x * * * * * *\n")
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// SaveSnapshot publishes through a temp file and a rename: an existing
+// snapshot is replaced whole and nothing is left beside it.
+TEST(PersistenceTest, SaveReplacesAnExistingSnapshotWhole) {
+  std::string path = TempPath("snap_replace.ode");
+  Database big;
+  SetUpSchema(&big);
+  TxnId t = big.Begin().value();
+  for (int i = 0; i < 20; ++i) {
+    ODE_ASSERT_OK(big.New(t, "counter", {{"n", Value(i)}}).status());
+  }
+  ODE_ASSERT_OK(big.Commit(t));
+  ODE_ASSERT_OK(big.SaveSnapshot(path));
+
+  Database small;
+  SetUpSchema(&small);
+  t = small.Begin().value();
+  Oid only = small.New(t, "counter", {{"n", Value(42)}}).value();
+  ODE_ASSERT_OK(small.Commit(t));
+  ODE_ASSERT_OK(small.SaveSnapshot(path));
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+
+  Database loaded;
+  SetUpSchema(&loaded);
+  ODE_ASSERT_OK(loaded.LoadSnapshot(path));
+  EXPECT_EQ(loaded.PeekAttr(only, "n").value().AsInt().value(), 42);
+  EXPECT_FALSE(loaded.PeekAttr(Oid{only.id + 1}, "n").ok());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -45,7 +46,12 @@ void SetUpClass(Database* db) {
         ODE_ASSIGN_OR_RETURN(Value next, v.Add(d));
         return ctx->Set("v", next);
       }});
+  def.AddMethod(MethodDef{"note",
+                          {{"string", "text"}},
+                          MethodKind::kUpdate,
+                          [](MethodContext*) { return Status::OK(); }});
   def.AddTrigger("CT(): perpetual every 3 (after add) ==> count");
+  def.AddTrigger("NT(): perpetual after note ==> count");
   ODE_ASSERT_OK(db->RegisterAction("count", CountAction));
   ODE_ASSERT_OK(db->RegisterClass(std::move(def)).status());
 }
@@ -239,10 +245,10 @@ TEST(SequencerTest, OrderLogRecoveryReproducesFirings) {
     Oid oid = MakeObject(&db);
     ODE_ASSERT_OK(db.ActivateClassTrigger("scell", "CT"));
 
-    seq::OrderLogWriter writer;
+    wal::LogWriter writer;
     wal::WalOptions wal_options;
     wal_options.fsync = wal::FsyncPolicy::kAlways;
-    ODE_ASSERT_OK(writer.Open(path, wal_options));
+    ODE_ASSERT_OK(writer.Open(path, 0, wal_options));
 
     seq::Sequencer::Options options;
     options.num_lanes = 2;
@@ -261,7 +267,7 @@ TEST(SequencerTest, OrderLogRecoveryReproducesFirings) {
 
   // The log records exactly the applied order (write-behind, synced by
   // Stop): one record per sequenced event, per-lane seqs contiguous.
-  Result<seq::OrderLogReadResult> logged = seq::ReadOrderLog(path);
+  Result<wal::LogContents<seq::SeqEvent>> logged = seq::ReadOrderLog(path);
   ODE_ASSERT_OK(logged.status());
   EXPECT_FALSE(logged->torn);
   ASSERT_EQ(logged->records.size(), original_sequenced);
@@ -325,6 +331,91 @@ TEST(SequencerTest, OrderLogRecoveryReproducesFirings) {
 
   std::remove(path.c_str());
   std::remove(dir.c_str());
+}
+
+// kEveryMs bounds the order log's unsynced window in time, as it does a
+// shard WAL's: a trickle of fewer than fsync_every_n records still reaches
+// the disk within the interval, with no Sync barrier.
+TEST(SequencerTest, OrderLogFollowsIntervalFsyncPolicy) {
+  const std::string dir = TempDir("orderlog_ms");
+  Database db;
+  SetUpClass(&db);
+  Oid oid = MakeObject(&db);
+  ODE_ASSERT_OK(db.ActivateClassTrigger("scell", "CT"));
+
+  wal::LogWriter writer;
+  wal::WalOptions wal_options;
+  wal_options.fsync = wal::FsyncPolicy::kEveryMs;
+  wal_options.fsync_interval = std::chrono::milliseconds(5);
+  wal_options.fsync_every_n = 64;
+  ODE_ASSERT_OK(writer.Open(seq::OrderLogPath(dir), 0, wal_options));
+
+  seq::Sequencer::Options options;
+  options.num_lanes = 2;
+  options.order_log = &writer;
+  seq::Sequencer sequencer(&db, options);
+  db.AttachSequencer(&sequencer);
+  ODE_ASSERT_OK(sequencer.Start());
+  PostAdds(&db, oid, 3);
+  sequencer.WaitDrained();
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (writer.fsyncs() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(writer.fsyncs(), 1u);
+  EXPECT_GT(writer.appends(), 0u);
+  EXPECT_LT(writer.appends(), wal_options.fsync_every_n);
+  sequencer.Stop();
+  db.DetachSequencer();
+}
+
+// An event the order-record codec cannot hold (a value text over 65,535
+// bytes) is counted as an apply error and skipped; the log stays on for
+// the events after it.
+TEST(SequencerTest, OrderRecordOverCapIsCountedAndLoggingGoesOn) {
+  const std::string dir = TempDir("orderlog_cap");
+  const std::string path = seq::OrderLogPath(dir);
+  Database db;
+  SetUpClass(&db);
+  Oid oid = MakeObject(&db);
+  ODE_ASSERT_OK(db.ActivateClassTrigger("scell", "CT"));
+  ODE_ASSERT_OK(db.ActivateClassTrigger("scell", "NT"));
+
+  wal::LogWriter writer;
+  wal::WalOptions wal_options;
+  wal_options.fsync = wal::FsyncPolicy::kAlways;
+  ODE_ASSERT_OK(writer.Open(path, 0, wal_options));
+
+  int log_failures = 0;
+  seq::Sequencer::Options options;
+  options.num_lanes = 2;
+  options.order_log = &writer;
+  options.on_log_failure = [&](const Status&) { ++log_failures; };
+  seq::Sequencer sequencer(&db, options);
+  db.AttachSequencer(&sequencer);
+  ODE_ASSERT_OK(sequencer.Start());
+  PostAdds(&db, oid, 2);
+  {
+    TxnId t = db.Begin().value();
+    ODE_ASSERT_OK(
+        db.Call(t, oid, "note", {Value(std::string(70000, 'x'))}).status());
+    ODE_ASSERT_OK(db.Commit(t));
+  }
+  PostAdds(&db, oid, 2);
+  sequencer.WaitDrained();
+  seq::SequencerMetricsSnapshot m = sequencer.Metrics();
+  sequencer.Stop();
+  db.DetachSequencer();
+
+  EXPECT_EQ(log_failures, 0);
+  EXPECT_EQ(m.apply_errors, 1u);
+  Result<wal::LogContents<seq::SeqEvent>> logged = seq::ReadOrderLog(path);
+  ODE_ASSERT_OK(logged.status());
+  EXPECT_FALSE(logged->torn);
+  EXPECT_EQ(logged->records.size(), m.sequenced - 1);
+  EXPECT_EQ(logged->records.back().event.method_name, "add");
 }
 
 TEST(SequencerTest, RestoreLaneCountersResumesNumbering) {

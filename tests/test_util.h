@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "compile/alphabet.h"
@@ -28,6 +29,17 @@ namespace testing_util {
     auto _s = (expr);                                               \
     EXPECT_TRUE(_s.ok()) << _s.ToString();                          \
   } while (0)
+
+/// Lowercase hex of `bytes`, for byte-exact golden comparisons.
+inline std::string HexOf(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
 
 /// Parses an event expression, aborting the test on failure.
 inline EventExprPtr ParseOrDie(std::string_view text) {
