@@ -8,6 +8,7 @@
 #include <random>
 #include <string>
 
+#include "common/strutil.h"
 #include "compile/combined.h"
 #include "ode/database.h"
 
@@ -20,9 +21,10 @@ ClassDef ScaleClass(int num_triggers) {
   def.AddMethod(MethodDef{"bump", {}, MethodKind::kUpdate, nullptr});
   for (int i = 0; i < num_triggers; ++i) {
     // Distinct automata so no sharing shortcut is possible across triggers.
-    def.AddTrigger("T" + std::to_string(i) + "(): perpetual choose " +
-                       std::to_string(1000 + i) + " (after bump) ==> noop",
-                   HistoryView::kFull, /*auto_activate=*/true);
+    def.AddTrigger(
+        StrFormat("T%d(): perpetual choose %d (after bump) ==> noop", i,
+                  1000 + i),
+        HistoryView::kFull, /*auto_activate=*/true);
   }
   return def;
 }
@@ -90,9 +92,8 @@ BENCHMARK(BM_PostManyObjects)->Arg(1)->Arg(64)->Arg(4096);
 std::vector<TriggerSpec> GroupSpecs(int k) {
   std::vector<TriggerSpec> specs;
   for (int i = 0; i < k; ++i) {
-    Result<TriggerSpec> spec = ParseTriggerSpec(
-        "T" + std::to_string(i) + "(): perpetual every " +
-        std::to_string(i + 2) + " (after f | before g)");
+    Result<TriggerSpec> spec = ParseTriggerSpec(StrFormat(
+        "T%d(): perpetual every %d (after f | before g)", i, i + 2));
     specs.push_back(*spec);
   }
   return specs;

@@ -12,7 +12,11 @@
 using namespace ode;
 
 int main() {
-  Database db;
+  // The analyst's report below queries full event histories, which the
+  // database records only on request: detection itself needs none (§5).
+  DatabaseOptions options;
+  options.record_histories = true;
+  Database db(options);
 
   ClassDef account("account");
   account.AddAttr("balance", Value(10000));

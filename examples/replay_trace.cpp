@@ -2,7 +2,7 @@
 // print where the event occurs — a standalone detector for experimenting
 // with the algebra.
 //
-//   $ printf 'after deposit q=70\nafter withdraw q=30\n' | \
+//   $ printf 'after deposit q=70\nafter withdraw q=30\n' |
 //       ./build/examples/replay_trace 'relative(after deposit, after withdraw)'
 //
 // Trace lines: `after NAME [arg=value ...]`, `before NAME [...]`, or a

@@ -120,13 +120,19 @@ bool Alphabet::IsMaskFree() const {
   return true;
 }
 
-const BasicEvent* Alphabet::SpecForSymbol(SymbolId s) const {
-  for (const Group& g : groups_) {
+int Alphabet::GroupOfSymbol(SymbolId s) const {
+  for (size_t i = 0; i < groups_.size(); ++i) {
+    const Group& g = groups_[i];
     if (s >= g.base && s < g.base + static_cast<SymbolId>(g.num_symbols())) {
-      return &g.spec;
+      return static_cast<int>(i);
     }
   }
-  return nullptr;  // OTHER.
+  return -1;  // OTHER.
+}
+
+const BasicEvent* Alphabet::SpecForSymbol(SymbolId s) const {
+  int g = GroupOfSymbol(s);
+  return g < 0 ? nullptr : &groups_[g].spec;
 }
 
 const Alphabet::Group* Alphabet::MatchGroup(const PostedEvent& event) const {
@@ -197,14 +203,13 @@ TxnMarkerSymbols Alphabet::txn_markers() const {
   return out;
 }
 
-const BasicEvent* Alphabet::MatchingSpec(const PostedEvent& event) const {
-  const Group* g = MatchGroup(event);
-  return g == nullptr ? nullptr : &g->spec;
-}
-
 Result<SymbolId> Alphabet::Classify(const PostedEvent& event,
-                                    const MaskEvalFn& eval_mask) const {
+                                    const MaskEvalFn& eval_mask,
+                                    int* group) const {
   const Group* g = MatchGroup(event);
+  if (group != nullptr) {
+    *group = g == nullptr ? -1 : static_cast<int>(g - groups_.data());
+  }
   if (g == nullptr) return other_symbol();
   size_t combo = 0;
   for (size_t i = 0; i < g->masks.size(); ++i) {
@@ -235,7 +240,9 @@ std::vector<std::string> Alphabet::SymbolNames() const {
       std::string name = g.spec.ToString();
       for (size_t i = 0; i < g.masks.size(); ++i) {
         name += ((combo >> i) & 1) ? " && " : " && !";
-        name += "(" + g.masks[i].mask->ToString() + ")";
+        name += "(";
+        name += g.masks[i].mask->ToString();
+        name += ")";
       }
       names[g.base + combo] = std::move(name);
     }

@@ -89,13 +89,15 @@ class Alphabet {
       std::function<Result<bool>(const MaskSlot&, const PostedEvent&)>;
 
   /// Maps a posted event to its unique symbol. Events matching no group
-  /// map to OTHER. Mask evaluation errors propagate.
+  /// map to OTHER. Mask evaluation errors propagate. When `group` is
+  /// non-null it receives the index of the matched group, or -1 for OTHER
+  /// (witness capture, §9, keeps one occurrence per group).
   Result<SymbolId> Classify(const PostedEvent& event,
-                            const MaskEvalFn& eval_mask) const;
+                            const MaskEvalFn& eval_mask,
+                            int* group = nullptr) const;
 
-  /// The basic event (group representative) a posted event matches, or
-  /// null when it would classify as OTHER. Used by witness capture (§9).
-  const BasicEvent* MatchingSpec(const PostedEvent& event) const;
+  /// The index of the group owning symbol `s`, or -1 for OTHER.
+  int GroupOfSymbol(SymbolId s) const;
 
   /// True when no group carries masks, i.e. symbols correspond one-to-one
   /// to basic events (plus OTHER).

@@ -155,7 +155,9 @@ std::string BasicEvent::ToString() const {
         for (const ParamDecl& p : params) {
           decls.push_back(p.type_name + " " + p.name);
         }
-        out += "(" + Join(decls, ", ") + ")";
+        out += "(";
+        out += Join(decls, ", ");
+        out += ")";
       }
       return out;
     }

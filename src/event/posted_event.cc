@@ -42,7 +42,9 @@ std::string PostedEvent::ToString() const {
         for (const EventArg& a : args) {
           parts.push_back(a.name + "=" + a.value.ToString());
         }
-        out += "(" + Join(parts, ", ") + ")";
+        out += "(";
+        out += Join(parts, ", ");
+        out += ")";
       }
     } else {
       out += BasicEventKindName(kind);

@@ -56,7 +56,8 @@ std::string Print(const EventExpr& e, int parent_prec) {
       out = Print(*e.children[0], prec) + " & " + Print(*e.children[1], prec + 1);
       break;
     case EventExprKind::kNot:
-      out = "!" + Print(*e.children[0], prec);
+      out = "!";
+      out += Print(*e.children[0], prec);
       break;
     case EventExprKind::kRelative:
       out = PrintCall("relative", e);

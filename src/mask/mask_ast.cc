@@ -99,9 +99,9 @@ std::string MaskExpr::ToString() const {
     case MaskKind::kBinary:
       // Fully parenthesized canonical form: identity is unambiguous and the
       // text re-parses to an equal tree.
-      return "(" + children[0]->ToString() + " " +
-             std::string(MaskOpName(op)) + " " + children[1]->ToString() +
-             ")";
+      return StrFormat("(%s %s %s)", children[0]->ToString().c_str(),
+                       std::string(MaskOpName(op)).c_str(),
+                       children[1]->ToString().c_str());
   }
   return "?";
 }

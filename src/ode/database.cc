@@ -203,18 +203,6 @@ bool Database::Exists(Oid oid) const {
   return objects_.count(oid) > 0;
 }
 
-uint64_t Database::NextSeq(Oid oid) {
-  // Fast path: the counter exists (shared lock, per-object single-writer
-  // increment). Slow path: first event on the object inserts the entry.
-  {
-    std::shared_lock<std::shared_mutex> lock(aux_mu_);
-    auto it = seq_counters_.find(oid);
-    if (it != seq_counters_.end()) return ++it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(aux_mu_);
-  return ++seq_counters_[oid];
-}
-
 void Database::RecordHistory(const PostedEvent& event) {
   if (!options_.record_histories) return;
   EventHistory* history = nullptr;
@@ -228,21 +216,6 @@ void Database::RecordHistory(const PostedEvent& event) {
     history = &histories_[event.object];
   }
   history->Append(event);
-}
-
-void Database::BumpTriggersFired(Oid oid, const std::string& trigger_name) {
-  stats_.triggers_fired.fetch_add(1, std::memory_order_relaxed);
-  auto key = std::make_pair(oid.id, trigger_name);
-  {
-    std::shared_lock<std::shared_mutex> lock(aux_mu_);
-    auto it = fire_counts_.find(key);
-    if (it != fire_counts_.end()) {
-      ++it->second;
-      return;
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(aux_mu_);
-  ++fire_counts_[key];
 }
 
 void Database::ReleaseAlphabetTimers(Oid oid, const Alphabet& alphabet) {
@@ -286,6 +259,7 @@ Status Database::RunSystemTxn(const std::function<Status(Transaction*)>& fn) {
   TxnId sys_id = sys->id();
   Status s = fn(sys);
   if (s.ok()) {
+    sys->ReleaseForCommit();
     sys->set_state(TxnState::kCommitted);
     locks_.Release(sys_id);
     return Status::OK();
@@ -343,7 +317,9 @@ Status Database::CommitInternal(Transaction* txn, CommitOutcome* outcome) {
   // Commit dependencies (§7): wait for dependees; abort if any aborted.
   for (TxnId dep : txn->commit_deps()) {
     const Transaction* t = txns_.Get(dep);
-    if (t == nullptr) continue;  // Collected — treated as committed.
+    // GarbageCollect keeps a depended-on record, so a missing one was
+    // collected before the dependency was declared: treated as committed.
+    if (t == nullptr) continue;
     if (t->state() == TxnState::kAborted) {
       (void)AbortInternal(txn);
       return Status::Aborted(StrFormat(
@@ -382,9 +358,10 @@ Status Database::CommitInternal(Transaction* txn, CommitOutcome* outcome) {
     if (fired == 0) break;
   }
 
-  // Copy everything the epilogue needs before set_state: a non-active
-  // transaction is eligible for TxnManager::GarbageCollect.
-  std::vector<Oid> accessed = txn->accessed();
+  // Take everything the epilogue needs before set_state: a non-active
+  // transaction is eligible for TxnManager::GarbageCollect. The undo log
+  // goes now, not at the next GarbageCollect: a commit never rolls back.
+  std::vector<Oid> accessed = txn->ReleaseForCommit();
   TxnId committed_id = txn->id();
   txn->set_state(TxnState::kCommitted);
   txns_.CountCommit();
@@ -879,9 +856,11 @@ Result<int32_t> Database::TriggerState(Oid oid,
 }
 
 uint64_t Database::FireCount(Oid oid, std::string_view trigger_name) const {
-  std::shared_lock<std::shared_mutex> lock(aux_mu_);
-  auto it = fire_counts_.find({oid.id, std::string(trigger_name)});
-  return it == fire_counts_.end() ? 0 : it->second;
+  const Object* obj = object(oid);
+  if (obj == nullptr) return 0;
+  const RegisteredClass* cls = classes_.FindById(obj->class_id());
+  int idx = cls == nullptr ? -1 : cls->TriggerIndex(trigger_name);
+  return idx < 0 ? 0 : obj->fire_count(idx);
 }
 
 // --- Trigger groups (§5 footnote 5) -------------------------------------

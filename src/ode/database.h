@@ -45,17 +45,20 @@ using HostFn =
     std::function<Result<Value>(const std::vector<Value>&, const HostContext&)>;
 
 struct DatabaseOptions {
-  /// Record full per-object event histories (needed by the baseline
-  /// detectors and by tests; the DFA path itself does not need them —
-  /// that is the §5 point).
-  bool record_histories = true;
+  /// Record every object's full, unbounded event history
+  /// (Database::history). Off by default: no detection path reads it, since
+  /// a trigger slot holds only its automaton state, params and one witness
+  /// pointer per alphabet group (§5). HistoryQuery, the baseline detectors
+  /// and tests of event order opt in.
+  bool record_histories = false;
   /// Bound on the §6 `before tcomplete` fixpoint rounds.
   int max_tcomplete_rounds = 32;
   /// Bound on recursive event posting through trigger actions.
   int max_posting_depth = 64;
   /// §9 argument capture: record, per active trigger, the latest
   /// occurrence of each referenced logical event so actions can read the
-  /// constituent events' parameters (ActionContext::Witness).
+  /// constituent events' parameters (ActionContext::Witness). A posting is
+  /// copied once, and every slot that captures it shares the copy.
   bool capture_witnesses = true;
   /// Compilation options for class triggers.
   CompileOptions compile;
@@ -330,12 +333,15 @@ class Database {
 
   // --- Introspection ---------------------------------------------------------
 
+  /// The object's recorded history; null unless
+  /// DatabaseOptions::record_histories is on and the object saw a posting.
   const EventHistory* history(Oid oid) const;
   const DatabaseOptions& options() const { return options_; }
   const DatabaseStats& stats() const { return stats_; }
   LockManager& locks() { return locks_; }
 
-  /// Count of firings per (object, trigger name) — test convenience.
+  /// Count of firings per (object, trigger name) — test convenience. The
+  /// count lives in the object, so it reads 0 once the object is gone.
   uint64_t FireCount(Oid oid, std::string_view trigger_name) const;
 
   // --- Persistence (§2: persistent objects survive the program) -------------
@@ -358,7 +364,6 @@ class Database {
 
   // --- Engine-internal helpers (TriggerEngine is a friend) -----------------
   Result<Object*> GetObject(Oid oid);
-  uint64_t NextSeq(Oid oid);
   void RecordHistory(const PostedEvent& event);
   void BumpEventsPosted() {
     stats_.events_posted.fetch_add(1, std::memory_order_relaxed);
@@ -366,7 +371,10 @@ class Database {
   void BumpMaskEvaluations() {
     stats_.mask_evaluations.fetch_add(1, std::memory_order_relaxed);
   }
-  void BumpTriggersFired(Oid oid, const std::string& trigger_name);
+  void BumpTriggersFired(Object* obj, int trigger_idx) {
+    stats_.triggers_fired.fetch_add(1, std::memory_order_relaxed);
+    obj->CountFire(trigger_idx);
+  }
   void BumpClassTriggersFired(ClassId cls, const std::string& trigger_name);
   /// Class-scope trigger slots for the engine's posting loop (null when the
   /// class has none).
@@ -445,8 +453,6 @@ class Database {
   /// single-writer per shard, like object contents.
   mutable std::shared_mutex aux_mu_;
   std::map<Oid, EventHistory> histories_;
-  std::map<Oid, uint64_t> seq_counters_;
-  std::map<std::pair<uint64_t, std::string>, uint64_t> fire_counts_;
   std::map<ClassId, std::vector<ActiveTrigger>> class_slots_;
   /// Atomic values (see ClassActiveMask): read lock-free on every publish.
   std::map<ClassId, std::atomic<uint64_t>> class_active_masks_;

@@ -374,8 +374,6 @@ Status Database::LoadSnapshotText(std::string_view body) {
   {
     std::unique_lock<std::shared_mutex> lock(aux_mu_);
     histories_.clear();
-    seq_counters_.clear();
-    fire_counts_.clear();
     class_fire_counts_.clear();
     // The snapshot's class-scope slots are authoritative, like objects_:
     // slots activated since (or not captured) are replaced. The publish

@@ -15,13 +15,13 @@ const PostedEvent* ActionContext::Witness(std::string_view method_name) const {
   // Prefer the `after` occurrence (it carries post-execution state); fall
   // back to `before`.
   const PostedEvent* found = nullptr;
-  for (const auto& [key, event] : *witnesses) {
-    if (event.kind != BasicEventKind::kMethod ||
-        event.method_name != method_name) {
+  for (const std::shared_ptr<const PostedEvent>& event : *witnesses) {
+    if (event == nullptr || event->kind != BasicEventKind::kMethod ||
+        event->method_name != method_name) {
       continue;
     }
-    if (event.qualifier == EventQualifier::kAfter) return &event;
-    found = &event;
+    if (event->qualifier == EventQualifier::kAfter) return event.get();
+    found = event.get();
   }
   return found;
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +16,11 @@
 namespace ode {
 
 class Database;
+
+/// §9 argument capture for one activation: per alphabet group, the latest
+/// occurrence that matched it (null until one has). A posting is copied at
+/// most once; every slot that captures it shares that copy.
+using WitnessArray = std::vector<std::shared_ptr<const PostedEvent>>;
 
 /// Everything a trigger action can see when it runs: the firing event, the
 /// object the trigger is attached to, the executing transaction (the
@@ -29,8 +35,9 @@ struct ActionContext {
   const PostedEvent* event = nullptr;  ///< The occurrence that fired it.
   const std::map<std::string, Value>* trigger_params = nullptr;
   /// §9 argument capture: latest occurrence of each referenced logical
-  /// event, keyed by BasicEvent::CanonicalKey (null when capture is off).
-  const std::map<std::string, PostedEvent>* witnesses = nullptr;
+  /// event, indexed by the trigger's alphabet group (null when capture is
+  /// off).
+  const WitnessArray* witnesses = nullptr;
 
   /// Parameter lookup; null Value if absent.
   Value Param(std::string_view name) const;
@@ -38,7 +45,8 @@ struct ActionContext {
   /// The most recent constituent occurrence of the method event with the
   /// given name (either qualifier), or null. E.g. after
   /// `relative(after deposit, after withdraw)` fires, Witness("deposit")
-  /// carries the deposit's arguments.
+  /// carries the deposit's arguments. The pointer is valid while the slot
+  /// keeps that occurrence, i.e. until the action posts a newer one.
   const PostedEvent* Witness(std::string_view method_name) const;
 
   /// Convenience: a named argument of Witness(method_name); null Value if
@@ -137,9 +145,9 @@ struct ActiveTrigger {
   /// §9 "incorporation of arguments into composite event specification":
   /// the most recent occurrence of each logical event the trigger
   /// references, so the action can read the constituent events' parameters
-  /// when the composite fires. Keyed by BasicEvent::CanonicalKey; bounded
-  /// by the trigger's alphabet size. Monitoring metadata — not undo-logged.
-  std::map<std::string, PostedEvent> witnesses;
+  /// when the composite fires. One pointer per alphabet group, into the
+  /// posting's shared copy. Monitoring metadata — not undo-logged.
+  WitnessArray witnesses;
 };
 
 /// Per-(object, trigger group) activation record (§5 footnote 5): one
@@ -152,7 +160,7 @@ struct GroupSlot {
   bool active = false;
   int32_t state = 0;
   uint64_t enabled = 0;
-  std::map<std::string, PostedEvent> witnesses;
+  WitnessArray witnesses;  ///< Per group of the product alphabet.
 };
 
 }  // namespace ode

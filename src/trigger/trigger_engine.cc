@@ -1,5 +1,6 @@
 #include "trigger/trigger_engine.h"
 
+#include <memory>
 #include <mutex>
 
 #include "common/strutil.h"
@@ -101,10 +102,35 @@ class DepthGuard {
 
 }  // namespace
 
+class TriggerEngine::Posting {
+ public:
+  Posting(const PostedEvent& event, bool capture)
+      : event_(event), capture_(capture) {}
+
+  const PostedEvent& event() const { return event_; }
+
+  /// §9 argument capture: makes this posting the latest witness of
+  /// alphabet group `group` (-1, OTHER, witnesses nothing). The first
+  /// capture copies the event; later ones share that copy.
+  void Capture(WitnessArray* witnesses, size_t num_groups, int group) {
+    if (!capture_ || group < 0) return;
+    if (shared_ == nullptr) {
+      shared_ = std::make_shared<const PostedEvent>(event_);
+    }
+    if (witnesses->size() < num_groups) witnesses->resize(num_groups);
+    (*witnesses)[group] = shared_;
+  }
+
+ private:
+  const PostedEvent& event_;
+  const bool capture_;
+  std::shared_ptr<const PostedEvent> shared_;
+};
+
 Result<bool> TriggerEngine::AdvanceSlot(ActiveTrigger* slot,
                                         const TriggerProgram& program,
                                         Transaction* txn, Object* obj,
-                                        Oid oid, const PostedEvent& event,
+                                        Oid oid, Posting* posting,
                                         bool undo_logged) {
   auto eval_mask = [&](const MaskSlot& mask_slot,
                        const PostedEvent& ev) -> Result<bool> {
@@ -113,25 +139,22 @@ Result<bool> TriggerEngine::AdvanceSlot(ActiveTrigger* slot,
                   &mask_slot.params, &slot->params);
     return EvalMaskBool(*mask_slot.mask, env);
   };
+  int group = -1;
   Result<SymbolId> base_sym =
-      program.event.alphabet.Classify(event, eval_mask);
+      program.event.alphabet.Classify(posting->event(), eval_mask, &group);
   if (!base_sym.ok()) return base_sym.status();
-  return AdvanceClassified(slot, program, txn, obj, oid, event, *base_sym,
-                           undo_logged);
+  return AdvanceClassified(slot, program, txn, obj, oid, posting, *base_sym,
+                           group, undo_logged);
 }
 
 Result<bool> TriggerEngine::AdvanceClassified(
     ActiveTrigger* slot, const TriggerProgram& program, Transaction* txn,
-    Object* obj, Oid oid, const PostedEvent& event, int32_t base_sym,
+    Object* obj, Oid oid, Posting* posting, int32_t base_sym, int group,
     bool undo_logged) {
   // §9 argument capture: remember the latest occurrence of each referenced
   // logical event for the action's Witness() lookups.
-  if (db_->options().capture_witnesses) {
-    const BasicEvent* spec = program.event.alphabet.MatchingSpec(event);
-    if (spec != nullptr) {
-      slot->witnesses[spec->CanonicalKey()] = event;
-    }
-  }
+  posting->Capture(&slot->witnesses, program.event.alphabet.num_groups(),
+                   group);
 
   const Dfa& dfa = program.ActiveDfa();
   int32_t old_state = slot->state;
@@ -192,13 +215,13 @@ Result<bool> TriggerEngine::AdvanceClassified(
 
 Status TriggerEngine::FireSlot(ActiveTrigger* slot,
                                const TriggerProgram& program,
-                               Transaction* txn, Oid oid,
+                               Transaction* txn, Object* obj, Oid oid,
                                const PostedEvent& event, bool class_scope,
                                ClassId class_id) {
   if (class_scope) {
     db_->BumpClassTriggersFired(class_id, program.spec.name);
   } else {
-    db_->BumpTriggersFired(oid, program.spec.name);
+    db_->BumpTriggersFired(obj, slot->trigger_idx);
   }
 
   if (!program.spec.perpetual) {
@@ -256,7 +279,7 @@ Result<uint64_t> TriggerEngine::AdvanceGroupSlot(GroupSlot* slot,
                                                  const TriggerGroup& group,
                                                  Transaction* txn,
                                                  Object* obj,
-                                                 const PostedEvent& event) {
+                                                 Posting* posting) {
   auto eval_mask = [&](const MaskSlot& mask_slot,
                        const PostedEvent& ev) -> Result<bool> {
     db_->BumpMaskEvaluations();
@@ -264,13 +287,12 @@ Result<uint64_t> TriggerEngine::AdvanceGroupSlot(GroupSlot* slot,
                   &mask_slot.params, &EmptyParams());
     return EvalMaskBool(*mask_slot.mask, env);
   };
-  Result<SymbolId> sym = group.program.alphabet().Classify(event, eval_mask);
+  const Alphabet& alphabet = group.program.alphabet();
+  int matched = -1;
+  Result<SymbolId> sym =
+      alphabet.Classify(posting->event(), eval_mask, &matched);
   if (!sym.ok()) return sym.status();
-
-  if (db_->options().capture_witnesses) {
-    const BasicEvent* spec = group.program.alphabet().MatchingSpec(event);
-    if (spec != nullptr) slot->witnesses[spec->CanonicalKey()] = event;
-  }
+  posting->Capture(&slot->witnesses, alphabet.num_groups(), matched);
 
   // The footnote-5 payoff: ONE step for every member trigger.
   slot->state = group.program.dfa().Step(slot->state, *sym);
@@ -300,11 +322,12 @@ Result<uint64_t> TriggerEngine::AdvanceGroupSlot(GroupSlot* slot,
 
 Status TriggerEngine::FireGroupMember(GroupSlot* slot,
                                       const TriggerGroup& group, size_t bit,
-                                      Transaction* txn, Oid oid,
+                                      Transaction* txn, Object* obj,
                                       const PostedEvent& event,
                                       const RegisteredClass* cls) {
+  const Oid oid = obj->oid();
   const TriggerProgram& member = cls->triggers[group.member_idxs[bit]];
-  db_->BumpTriggersFired(oid, member.spec.name);
+  db_->BumpTriggersFired(obj, group.member_idxs[bit]);
 
   if (!member.spec.perpetual) {
     // An ordinary member disarms individually; the group slot dies when
@@ -356,9 +379,10 @@ Result<int> TriggerEngine::Post(Transaction* txn, Oid oid, PostedEvent event) {
   event.object = oid;
   event.time = db_->clock().now();
   if (event.txn == 0 && txn != nullptr) event.txn = txn->id();
-  event.seq = db_->NextSeq(oid);
+  event.seq = obj->NextSeq();
   db_->RecordHistory(event);
   db_->BumpEventsPosted();
+  Posting posting(event, db_->options().capture_witnesses);
 
   const ClassId class_id = obj->class_id();
   const RegisteredClass* cls = db_->classes().FindById(class_id);
@@ -380,8 +404,8 @@ Result<int> TriggerEngine::Post(Transaction* txn, Oid oid, PostedEvent event) {
     ActiveTrigger& slot = obj->trigger_slots()[i];
     if (!slot.active) continue;
     const TriggerProgram& program = cls->triggers[slot.trigger_idx];
-    Result<bool> occurred = AdvanceSlot(&slot, program, txn, obj, oid, event,
-                                        /*undo_logged=*/true);
+    Result<bool> occurred = AdvanceSlot(&slot, program, txn, obj, oid,
+                                        &posting, /*undo_logged=*/true);
     if (!occurred.ok()) return occurred.status();
     if (*occurred) fired.push_back({Scope::kObject, i, 0});
   }
@@ -451,7 +475,7 @@ Result<int> TriggerEngine::Post(Transaction* txn, Oid oid, PostedEvent event) {
       if (!slot.active) continue;
       const TriggerProgram& program = cls->triggers[slot.trigger_idx];
       Result<bool> occurred = AdvanceSlot(&slot, program, txn, obj, oid,
-                                          event, /*undo_logged=*/false);
+                                          &posting, /*undo_logged=*/false);
       if (!occurred.ok()) return occurred.status();
       if (*occurred) fired.push_back({Scope::kClass, i, 0});
     }
@@ -462,7 +486,7 @@ Result<int> TriggerEngine::Post(Transaction* txn, Oid oid, PostedEvent event) {
     if (!slot.active) continue;
     const TriggerGroup& group = cls->groups[slot.group_idx];
     Result<uint64_t> bits =
-        AdvanceGroupSlot(&slot, group, txn, obj, event);
+        AdvanceGroupSlot(&slot, group, txn, obj, &posting);
     if (!bits.ok()) return bits.status();
     if (*bits != 0) fired.push_back({Scope::kGroup, i, *bits});
   }
@@ -482,8 +506,8 @@ Result<int> TriggerEngine::Post(Transaction* txn, Oid oid, PostedEvent event) {
       for (size_t bit = 0; bit < group.member_idxs.size(); ++bit) {
         if (((p.bits >> bit) & 1) == 0) continue;
         ++total_fired;
-        ODE_RETURN_IF_ERROR(FireGroupMember(slot, group, bit, txn, oid,
-                                            event, cls));
+        ODE_RETURN_IF_ERROR(FireGroupMember(slot, group, bit, txn,
+                                            *refetched, event, cls));
         // Re-fetch in case the action touched the object.
         refetched = db_->GetObject(oid);
         if (!refetched.ok()) break;
@@ -493,6 +517,7 @@ Result<int> TriggerEngine::Post(Transaction* txn, Oid oid, PostedEvent event) {
       continue;
     }
     ActiveTrigger* slot = nullptr;
+    Object* owner = nullptr;
     if (p.scope == Scope::kClass) {
       // Still under class_lock from phase 1.
       if (class_slots == nullptr || p.idx >= class_slots->size()) continue;
@@ -502,12 +527,13 @@ Result<int> TriggerEngine::Post(Transaction* txn, Oid oid, PostedEvent event) {
       // object.
       Result<Object*> refetched = db_->GetObject(oid);
       if (!refetched.ok()) break;
-      if (p.idx >= (*refetched)->trigger_slots().size()) continue;
-      slot = &(*refetched)->trigger_slots()[p.idx];
+      owner = *refetched;
+      if (p.idx >= owner->trigger_slots().size()) continue;
+      slot = &owner->trigger_slots()[p.idx];
     }
     ++total_fired;
     const TriggerProgram& program = cls->triggers[slot->trigger_idx];
-    ODE_RETURN_IF_ERROR(FireSlot(slot, program, txn, oid, event,
+    ODE_RETURN_IF_ERROR(FireSlot(slot, program, txn, owner, oid, event,
                                  p.scope == Scope::kClass, class_id));
   }
   return total_fired;
@@ -545,6 +571,9 @@ Result<int> TriggerEngine::ApplySequenced(const seq::SeqEvent& sev,
     }
   }
 
+  // Advancement runs once per sequenced event (latched below), so this
+  // event is copied at most once for all the slots that witness it.
+  Posting posting(sev.event, db_->options().capture_witnesses);
   if (!needs_db && !progress->advanced) {
     // Fast path: advance without any transaction or lock. The latch is set
     // after the loop — nothing below can fail, and DFA steps must never
@@ -554,11 +583,9 @@ Result<int> TriggerEngine::ApplySequenced(const seq::SeqEvent& sev,
       ActiveTrigger* slot = find_slot(sym.trigger_idx);
       if (slot == nullptr || !slot->active) continue;
       const TriggerProgram& program = cls->triggers[sym.trigger_idx];
-      if (db_->options().capture_witnesses) {
-        const BasicEvent* spec =
-            program.event.alphabet.MatchingSpec(sev.event);
-        if (spec != nullptr) slot->witnesses[spec->CanonicalKey()] = sev.event;
-      }
+      const Alphabet& alphabet = program.event.alphabet;
+      posting.Capture(&slot->witnesses, alphabet.num_groups(),
+                      alphabet.GroupOfSymbol(sym.symbol));
       const Dfa& dfa = program.ActiveDfa();
       SymbolId ext = program.event.ExtendSymbol(sym.symbol, 0);
       slot->state = dfa.Step(slot->state, ext);
@@ -598,9 +625,10 @@ Result<int> TriggerEngine::ApplySequenced(const seq::SeqEvent& sev,
         ActiveTrigger* slot = find_slot(sym.trigger_idx);
         if (slot == nullptr || !slot->active) continue;
         const TriggerProgram& program = cls->triggers[sym.trigger_idx];
-        Result<bool> occurred =
-            AdvanceClassified(slot, program, sys, obj, sev.oid, sev.event,
-                              sym.symbol, /*undo_logged=*/false);
+        Result<bool> occurred = AdvanceClassified(
+            slot, program, sys, obj, sev.oid, &posting, sym.symbol,
+            program.event.alphabet.GroupOfSymbol(sym.symbol),
+            /*undo_logged=*/false);
         if (!occurred.ok()) {
           if (progress->error.empty()) {
             progress->error = occurred.status().message();
@@ -616,7 +644,7 @@ Result<int> TriggerEngine::ApplySequenced(const seq::SeqEvent& sev,
       if (slot == nullptr) continue;
       const TriggerProgram& program = cls->triggers[idx];
       ++fired;
-      Status s = FireSlot(slot, program, sys, sev.oid, sev.event,
+      Status s = FireSlot(slot, program, sys, obj, sev.oid, sev.event,
                           /*class_scope=*/true, sev.class_id);
       // Action failures — including demands to abort, which cannot reach
       // the long-committed posting transaction — are recorded and never

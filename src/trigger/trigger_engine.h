@@ -33,10 +33,11 @@ class TriggerEngine {
  public:
   explicit TriggerEngine(Database* db) : db_(db) {}
 
-  /// Posts a basic event to an object. Appends to the object's history,
-  /// advances every active trigger's automaton (undo-logging committed-view
-  /// states under `txn`), evaluates composite masks for accepting triggers,
-  /// deactivates fired ordinary triggers, and executes actions.
+  /// Posts a basic event to an object. Appends to the object's history
+  /// (when recorded), advances every active trigger's automaton
+  /// (undo-logging committed-view states under `txn`), evaluates composite
+  /// masks for accepting triggers, deactivates fired ordinary triggers, and
+  /// executes actions.
   ///
   /// Returns the number of triggers fired. Returns kAborted when an action
   /// demands abort (the caller performs the rollback) and
@@ -69,27 +70,34 @@ class TriggerEngine {
   int depth() const { return depth_; }
 
  private:
+  /// One posting and the single copy of it that witness capture shares
+  /// between slots (defined in the .cc).
+  class Posting;
+
   /// Classifies the event for one trigger slot, resolves gate bits, steps
   /// the automaton (undo-logging committed-view state changes when
   /// `undo_logged`), and reports whether the trigger's event occurred at
   /// this point (acceptance gated by composite masks).
   Result<bool> AdvanceSlot(ActiveTrigger* slot, const TriggerProgram& program,
                            Transaction* txn, Object* obj, Oid oid,
-                           const PostedEvent& event, bool undo_logged);
+                           Posting* posting, bool undo_logged);
 
-  /// AdvanceSlot minus the classification: steps gates and the main DFA
-  /// from an already-classified base symbol (the sequencer's apply path,
-  /// where classification happened shard-side at publish time).
+  /// AdvanceSlot minus the classification: captures the witness for the
+  /// matched alphabet `group` and steps gates and the main DFA from an
+  /// already-classified base symbol (the sequencer's apply path, where
+  /// classification happened shard-side at publish time).
   Result<bool> AdvanceClassified(ActiveTrigger* slot,
                                  const TriggerProgram& program,
                                  Transaction* txn, Object* obj, Oid oid,
-                                 const PostedEvent& event, int32_t base_sym,
-                                 bool undo_logged);
+                                 Posting* posting, int32_t base_sym,
+                                 int group, bool undo_logged);
 
-  /// Deactivates an ordinary trigger and runs the action (§2/§5).
+  /// Counts the firing (on `obj`, or on the class when `class_scope`),
+  /// deactivates an ordinary trigger and runs the action (§2/§5).
   Status FireSlot(ActiveTrigger* slot, const TriggerProgram& program,
-                  Transaction* txn, Oid oid, const PostedEvent& event,
-                  bool class_scope, ClassId class_id);
+                  Transaction* txn, Object* obj, Oid oid,
+                  const PostedEvent& event, bool class_scope,
+                  ClassId class_id);
 
   /// One shared classification + table step for a whole trigger group
   /// (§5 footnote 5); returns the mask of members that occurred (after
@@ -97,11 +105,12 @@ class TriggerEngine {
   Result<uint64_t> AdvanceGroupSlot(GroupSlot* slot,
                                     const TriggerGroup& group,
                                     Transaction* txn, Object* obj,
-                                    const PostedEvent& event);
+                                    Posting* posting);
 
-  /// Fires one group member: disarms ordinary members, runs the action.
+  /// Fires one group member: counts it on `obj`, disarms ordinary
+  /// members, runs the action.
   Status FireGroupMember(GroupSlot* slot, const TriggerGroup& group,
-                         size_t bit, Transaction* txn, Oid oid,
+                         size_t bit, Transaction* txn, Object* obj,
                          const PostedEvent& event,
                          const RegisteredClass* cls);
 

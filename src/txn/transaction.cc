@@ -19,6 +19,14 @@ bool Transaction::RecordAccess(Oid oid) {
   return true;
 }
 
+std::vector<Oid> Transaction::ReleaseForCommit() {
+  undo_log_ = std::vector<UndoEntry>();
+  accessed_set_.clear();
+  std::vector<Oid> accessed;
+  accessed.swap(accessed_);
+  return accessed;
+}
+
 Transaction* TxnManager::Begin(bool is_system) {
   std::lock_guard<std::mutex> lock(mu_);
   TxnId id = next_++;
@@ -56,8 +64,14 @@ Result<Transaction*> TxnManager::GetActive(TxnId id) {
 
 void TxnManager::GarbageCollect() {
   std::lock_guard<std::mutex> lock(mu_);
+  std::set<TxnId> depended_on;
+  for (const auto& [id, txn] : live_) {
+    if (txn.state() != TxnState::kActive) continue;
+    depended_on.insert(txn.commit_deps().begin(), txn.commit_deps().end());
+  }
   for (auto it = live_.begin(); it != live_.end();) {
-    if (it->second.state() != TxnState::kActive) {
+    if (it->second.state() != TxnState::kActive &&
+        depended_on.count(it->first) == 0) {
       it = live_.erase(it);
     } else {
       ++it;

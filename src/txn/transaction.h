@@ -77,6 +77,11 @@ class Transaction {
   const std::vector<UndoEntry>& undo_log() const { return undo_log_; }
   std::vector<UndoEntry> TakeUndoLog() { return std::move(undo_log_); }
 
+  /// Called on commit: frees the undo log and the access set, which a
+  /// committed transaction never reads again, and hands back the accessed
+  /// objects in first-access order for the `after tcommit` epilogue.
+  std::vector<Oid> ReleaseForCommit();
+
   /// Commit dependencies (§7 "separate dependent" coupling): this
   /// transaction may not commit until every listed transaction has
   /// committed; if any of them aborts, this one must abort too.
@@ -123,8 +128,10 @@ class TxnManager {
   void CountAbort() { aborted_.fetch_add(1, std::memory_order_relaxed); }
 
   /// Drops finished transactions' records (tests keep them around for
-  /// inspection; long benches call this to bound memory). Callers must not
-  /// hold pointers to finished transactions across this call.
+  /// inspection; long benches call this to bound memory). A finished
+  /// transaction that an active one still lists as a commit dependency is
+  /// kept: that transaction's commit reads its outcome (§7). Callers must
+  /// not hold pointers to finished transactions across this call.
   void GarbageCollect();
 
  private:

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analyze/analyzer.h"
+#include "common/strutil.h"
 #include "lang/event_parser.h"
 
 namespace ode {
@@ -81,8 +82,8 @@ TEST(GroupPlanTest, PlannerClustersTransitively) {
   // a~b and b~c relate all three even without an a~c finding.
   std::vector<TriggerSpec> specs(3);
   for (size_t i = 0; i < 3; ++i) {
-    Result<TriggerSpec> s = ParseTriggerSpec(
-        "t" + std::to_string(i) + "(): after deposit ==> log");
+    Result<TriggerSpec> s =
+        ParseTriggerSpec(StrFormat("t%zu(): after deposit ==> log", i));
     ASSERT_TRUE(s.ok());
     specs[i] = *s;
   }
@@ -100,9 +101,8 @@ TEST(GroupPlanTest, GatedTriggersAreDropped) {
   // and the planner must drop the cluster, not crash or suggest.
   std::vector<TriggerSpec> specs(2);
   for (size_t i = 0; i < 2; ++i) {
-    Result<TriggerSpec> s = ParseTriggerSpec(
-        "t" + std::to_string(i) +
-        "(): after a ; ((after b | after c) && flag) ==> log");
+    Result<TriggerSpec> s = ParseTriggerSpec(StrFormat(
+        "t%zu(): after a ; ((after b | after c) && flag) ==> log", i));
     ASSERT_TRUE(s.ok());
     specs[i] = *s;
   }

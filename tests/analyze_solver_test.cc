@@ -205,9 +205,11 @@ TEST(MaskSolverTest, StepBudgetGivesUpConservatively) {
   // One elimination step is not enough to close the 3-cycle; the
   // bounded-work fallback must stay conservative (kUnknown, never a
   // wrong kNever/kAlways).
-  MaskSolver solver(MaskSolver::Options{.max_clauses = 64,
-                                        .max_vars = 1,
-                                        .max_constraints = 128});
+  MaskSolver::Options options;
+  options.max_clauses = 64;
+  options.max_vars = 1;
+  options.max_constraints = 128;
+  MaskSolver solver(options);
   EXPECT_EQ(solver.Truth(*ParseMaskOrDie("a > b && b > c && c > a")),
             MaskTruth::kUnknown);
 }

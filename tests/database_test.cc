@@ -7,6 +7,13 @@
 namespace ode {
 namespace {
 
+// Histories are opt-in; the cases that read Database::history turn them on.
+DatabaseOptions WithHistories() {
+  DatabaseOptions opts;
+  opts.record_histories = true;
+  return opts;
+}
+
 ClassDef AccountClass() {
   ClassDef def("account");
   def.AddAttr("balance", Value(0));
@@ -192,7 +199,7 @@ TEST(DatabaseTest, FinishedTxnsRejectOperations) {
 
 TEST(DatabaseTest, LazyTbeginPosting) {
   // §3.1: after tbegin is posted only immediately before the first access.
-  Database db;
+  Database db(WithHistories());
   ODE_ASSERT_OK(db.RegisterClass(AccountClass()).status());
   TxnId t1 = db.Begin().value();
   Oid a = db.New(t1, "account").value();
@@ -213,7 +220,7 @@ TEST(DatabaseTest, LazyTbeginPosting) {
 }
 
 TEST(DatabaseTest, EventOrderAroundMethod) {
-  Database db;
+  Database db(WithHistories());
   ODE_ASSERT_OK(db.RegisterClass(AccountClass()).status());
   TxnId t = db.Begin().value();
   Oid a = db.New(t, "account").value();
@@ -239,7 +246,7 @@ TEST(DatabaseTest, EventOrderAroundMethod) {
 }
 
 TEST(DatabaseTest, ReadOnlyMethodPostsReadEvents) {
-  Database db;
+  Database db(WithHistories());
   ODE_ASSERT_OK(db.RegisterClass(AccountClass()).status());
   TxnId t = db.Begin().value();
   Oid a = db.New(t, "account").value();
@@ -263,7 +270,7 @@ TEST(DatabaseTest, PostingPolicySuppressesCategories) {
   policy.read_update_events = false;
   def.SetPostingPolicy(policy);
 
-  Database db;
+  Database db(WithHistories());
   ODE_ASSERT_OK(db.RegisterClass(std::move(def)).status());
   TxnId t = db.Begin().value();
   Oid a = db.New(t, "quiet").value();
@@ -338,7 +345,7 @@ TEST(DatabaseTest, MethodBodyErrorPropagatesWithoutAutoAbort) {
                           [](MethodContext*) -> Status {
                             return Status::InvalidArgument("body failed");
                           }});
-  Database db;
+  Database db(WithHistories());
   ODE_ASSERT_OK(db.RegisterClass(std::move(def)).status());
   TxnId t = db.Begin().value();
   Oid obj = db.New(t, "fragile").value();
@@ -360,10 +367,27 @@ TEST(DatabaseTest, MethodBodyErrorPropagatesWithoutAutoAbort) {
   EXPECT_FALSE(db.Exists(obj));
 }
 
+TEST(DatabaseTest, CommitFreesUndoLog) {
+  // A commit never rolls back, so it frees its undo log and access set at
+  // once; only the small record waits for TxnManager::GarbageCollect.
+  Database db;
+  ODE_ASSERT_OK(db.RegisterClass(AccountClass()).status());
+  TxnId t = db.Begin().value();
+  Oid a = db.New(t, "account").value();
+  ODE_ASSERT_OK(db.Call(t, a, "deposit", {Value(5)}).status());
+  ASSERT_FALSE(db.txn(t)->undo_log().empty());
+  ODE_ASSERT_OK(db.Commit(t));
+  const Transaction* committed = db.txn(t);
+  ASSERT_NE(committed, nullptr);
+  EXPECT_EQ(committed->state(), TxnState::kCommitted);
+  EXPECT_TRUE(committed->undo_log().empty());
+  EXPECT_TRUE(committed->accessed().empty());
+  EXPECT_EQ(db.PeekAttr(a, "balance").value().AsInt().value(), 5);
+}
+
 TEST(DatabaseTest, HistoriesDisabledOption) {
-  DatabaseOptions opts;
-  opts.record_histories = false;
-  Database db(opts);
+  // Off by default: no detection path reads a history (§5).
+  Database db;
   ODE_ASSERT_OK(db.RegisterClass(AccountClass()).status());
   TxnId t = db.Begin().value();
   Oid a = db.New(t, "account").value();

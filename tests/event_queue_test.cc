@@ -15,7 +15,7 @@ namespace {
 IngestEvent Ev(uint64_t oid, int seq) {
   IngestEvent e;
   e.oid = Oid{oid};
-  e.method = "m";
+  e.method = std::string("m");
   e.args = {Value(seq)};
   return e;
 }

@@ -90,6 +90,40 @@ TEST(WitnessCaptureTest, LatestOccurrenceWins) {
   EXPECT_EQ(db.PeekAttr(acct, "noted_deposit").value().AsInt().value(), 20);
 }
 
+TEST(WitnessCaptureTest, SlotsShareOneCopyOfAPosting) {
+  // Every slot that witnesses a posting (two instance triggers, a group
+  // member, a class-scope trigger) holds the same single copy of it.
+  ClassDef def = AccountClass();
+  def.AddTrigger(
+      "Pair(): perpetual relative(after deposit, after withdraw) ==> grab");
+  def.AddTrigger("Out(): perpetual after withdraw ==> grab");
+  def.AddTrigger("Member(): perpetual after withdraw ==> grab");
+  def.AddTrigger("Bank(): perpetual after withdraw ==> grab");
+  Database db;
+  std::vector<const PostedEvent*> seen;
+  ODE_ASSERT_OK(db.RegisterAction(
+      "grab", [&seen](const ActionContext& ctx) -> Status {
+        seen.push_back(ctx.Witness("withdraw"));
+        return Status::OK();
+      }));
+  ODE_ASSERT_OK(db.RegisterClass(std::move(def)).status());
+  ODE_ASSERT_OK(db.DefineTriggerGroup("account", "G", {"Member"}));
+  ODE_ASSERT_OK(db.ActivateClassTrigger("account", "Bank"));
+  TxnId t = db.Begin().value();
+  Oid acct = db.New(t, "account").value();
+  ODE_ASSERT_OK(db.ActivateTrigger(t, acct, "Pair"));
+  ODE_ASSERT_OK(db.ActivateTrigger(t, acct, "Out"));
+  ODE_ASSERT_OK(db.ActivateTriggerGroup(t, acct, "G"));
+  ODE_ASSERT_OK(db.Call(t, acct, "deposit", {Value(70)}).status());
+  ODE_ASSERT_OK(db.Call(t, acct, "withdraw", {Value(30)}).status());
+  ODE_ASSERT_OK(db.Commit(t));
+
+  ASSERT_EQ(seen.size(), 4u);
+  ASSERT_NE(seen[0], nullptr);
+  for (const PostedEvent* w : seen) EXPECT_EQ(w, seen[0]);
+  EXPECT_EQ(seen[0]->FindArg("q")->AsInt().value(), 30);
+}
+
 TEST(WitnessCaptureTest, DisabledByOption) {
   DatabaseOptions opts;
   opts.capture_witnesses = false;
@@ -287,7 +321,9 @@ TEST(ClassTriggerTest, MaskSeesPostingObjectState) {
 // --- Database-scope (schema) events (§3) -----------------------------------
 
 TEST(SchemaEventTest, ClassRegistrationPostsToSchemaObject) {
-  Database db;
+  DatabaseOptions opts;
+  opts.record_histories = true;  // The schema object's history is read.
+  Database db(opts);
   ODE_ASSERT_OK(db.RegisterAction(
       "count_schema", [](const ActionContext& ctx) -> Status {
         Result<Value> v =

@@ -27,7 +27,9 @@ TEST(FixpointTest, CascadeReachesNewlyAccessedObjects) {
   // also posts tcomplete) does not consume the trigger.
   def.AddTrigger(
       "D(): relative(after touch, before tcomplete) ==> touch_peer");
-  Database db;
+  DatabaseOptions opts;
+  opts.record_histories = true;  // B's history is read below.
+  Database db(opts);
   ODE_ASSERT_OK(db.RegisterAction(
       "touch_peer", [](const ActionContext& ctx) -> Status {
         Result<Value> peer = ctx.db->PeekAttr(ctx.self, "peer");

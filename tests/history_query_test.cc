@@ -111,7 +111,9 @@ TEST(HistoryQueryTest, EndToEndWithDatabase) {
                           {{"int", "q"}},
                           MethodKind::kUpdate,
                           nullptr});
-  Database db;
+  DatabaseOptions opts;
+  opts.record_histories = true;  // Histories are opt-in.
+  Database db(opts);
   ODE_ASSERT_OK(db.RegisterClass(std::move(def)).status());
   TxnId t = db.Begin().value();
   Oid acct = db.New(t, "account").value();

@@ -187,6 +187,35 @@ TEST(TriggerGroupTest, GroupSlotSurvivesSnapshot) {
 }
 
 
+TEST(TriggerGroupTest, FireCountsOneTriggerArmedBothWays) {
+  // A trigger's firings count per object whether it is armed on its own
+  // or as a group member; armed both ways on one object, both count.
+  Fixture f;
+  Oid solo = f.db.New(f.txn, "item").value();
+  Oid both = f.db.New(f.txn, "item").value();
+  ODE_ASSERT_OK(f.db.ActivateTrigger(f.txn, solo, "A"));
+  ODE_ASSERT_OK(f.db.ActivateTriggerGroup(f.txn, f.item, "G"));
+  ODE_ASSERT_OK(f.db.ActivateTrigger(f.txn, both, "A"));
+  ODE_ASSERT_OK(f.db.ActivateTriggerGroup(f.txn, both, "G"));
+  for (Oid oid : {solo, f.item, both}) {
+    for (int i = 0; i < 4; ++i) {
+      ODE_ASSERT_OK(f.db.Call(f.txn, oid, "deposit", {Value(1)}).status());
+    }
+    ODE_ASSERT_OK(f.db.Call(f.txn, oid, "withdraw", {Value(500)}).status());
+  }
+  ODE_ASSERT_OK(f.db.Commit(f.txn));
+
+  EXPECT_EQ(f.db.FireCount(solo, "A"), 2u);    // every 2 of 4 deposits.
+  EXPECT_EQ(f.db.FireCount(solo, "B"), 0u);    // Never armed.
+  EXPECT_EQ(f.db.FireCount(f.item, "A"), 2u);  // As a group member.
+  EXPECT_EQ(f.db.FireCount(f.item, "B"), 1u);
+  EXPECT_EQ(f.db.FireCount(f.item, "C"), 1u);
+  EXPECT_EQ(f.db.FireCount(both, "A"), 4u);    // Slot and group each.
+  EXPECT_EQ(f.db.FireCount(both, "B"), 1u);
+  EXPECT_EQ(f.db.FireCount(both, "nope"), 0u);
+  EXPECT_EQ(f.db.FireCount(Oid{9999}, "A"), 0u);
+}
+
 TEST(TriggerGroupTest, AllThreeScopesFireOnOneEvent) {
   // Object trigger, class-scope trigger, and group member can all observe
   // the same posting; firing order is object slots, class slots, groups.

@@ -171,6 +171,23 @@ TEST(TxnEventsTest, CommitDependencyAbortCascades) {
   EXPECT_EQ(f.db.txn(t2)->state(), TxnState::kAborted);
 }
 
+TEST(TxnEventsTest, CommitDependencySurvivesGarbageCollection) {
+  // The dependee's abort must reach t2 even when finished records are
+  // collected in between, as IngestRuntime::Drain does.
+  Fixture f(CounterClass());
+  TxnId t1 = f.db.Begin().value();
+  TxnId t2 = f.db.Begin().value();
+  ODE_ASSERT_OK(f.db.AddCommitDependency(t2, t1));
+  ODE_ASSERT_OK(f.db.Abort(t1));
+  f.db.txns().GarbageCollect();  // Keeps t1: active t2 depends on it.
+  EXPECT_EQ(f.db.Commit(t2).code(), StatusCode::kAborted);
+  EXPECT_EQ(f.db.txn(t2)->state(), TxnState::kAborted);
+  // With no active dependant left, both records go.
+  f.db.txns().GarbageCollect();
+  EXPECT_EQ(f.db.txn(t1), nullptr);
+  EXPECT_EQ(f.db.txn(t2), nullptr);
+}
+
 TEST(TxnEventsTest, SelfDependencyRejected) {
   Fixture f(CounterClass());
   TxnId t = f.db.Begin().value();
