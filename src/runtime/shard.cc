@@ -202,6 +202,9 @@ void Shard::ProcessBatch(const std::vector<IngestEvent>& batch) {
 Status Shard::RunBatch(const std::vector<IngestEvent>& batch) {
   Result<TxnId> txn = db_->Begin();
   if (!txn.ok()) return txn.status();
+  // Class-scope publications wait for the commit: a rolled-back batch is
+  // replayed event by event below, which publishes its events again.
+  seq::Sequencer::PendingPublications pending(db_->sequencer());
   int fired = 0;
   for (const IngestEvent& event : batch) {
     Result<Value> r = db_->Call(*txn, event.oid, event.method, event.args,
@@ -220,6 +223,7 @@ Status Shard::RunBatch(const std::vector<IngestEvent>& batch) {
       // The batch COMMITTED; only the after-tcommit system transaction
       // failed (and rolled its own effects back). Replaying the events
       // would apply them twice — count the lost epilogue and move on.
+      pending.Commit();
       metrics_.RecordEpilogueFailure();
       metrics_.RecordFired(static_cast<uint64_t>(fired));
       return Status::OK();
@@ -227,6 +231,7 @@ Status Shard::RunBatch(const std::vector<IngestEvent>& batch) {
     if (committed.code() != StatusCode::kAborted) (void)db_->Abort(*txn);
     return committed;
   }
+  pending.Commit();
   metrics_.RecordFired(static_cast<uint64_t>(fired));
   return Status::OK();
 }
@@ -252,6 +257,7 @@ void Shard::ProcessOne(const IngestEvent& event) {
 Status Shard::TryOne(const IngestEvent& event) {
   Result<TxnId> txn = db_->Begin();
   if (!txn.ok()) return txn.status();
+  seq::Sequencer::PendingPublications pending(db_->sequencer());
   int fired = 0;
   Result<Value> r =
       db_->Call(*txn, event.oid, event.method, event.args, &fired);
@@ -260,6 +266,7 @@ Status Shard::TryOne(const IngestEvent& event) {
   if (!status.ok()) {
     if (outcome == Database::CommitOutcome::kEpilogueFailed) {
       // Committed; retrying would double-apply the event (see RunBatch).
+      pending.Commit();
       metrics_.RecordEpilogueFailure();
       metrics_.RecordFired(static_cast<uint64_t>(fired));
       return Status::OK();
@@ -267,6 +274,7 @@ Status Shard::TryOne(const IngestEvent& event) {
     if (status.code() != StatusCode::kAborted) (void)db_->Abort(*txn);
     return status;
   }
+  pending.Commit();
   metrics_.RecordFired(static_cast<uint64_t>(fired));
   return Status::OK();
 }

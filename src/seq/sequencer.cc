@@ -17,6 +17,7 @@ namespace {
 
 thread_local int32_t t_publisher_lane = -1;
 thread_local bool t_on_sequencer_thread = false;
+thread_local Sequencer::PendingPublications* t_pending = nullptr;
 
 /// Scoped "this thread is the sequencer" marker (the merge thread for its
 /// lifetime, ApplyRecovered for one call).
@@ -93,7 +94,28 @@ void Sequencer::ExitPublish() {
   if (--publishing_ == 0) gate_cv_.notify_all();
 }
 
+Sequencer::PendingPublications::PendingPublications(Sequencer* sequencer)
+    : sequencer_(sequencer) {
+  if (sequencer_ != nullptr) t_pending = this;
+}
+
+Sequencer::PendingPublications::~PendingPublications() {
+  if (t_pending == this) t_pending = nullptr;
+}
+
+void Sequencer::PendingPublications::Commit() {
+  if (t_pending == this) t_pending = nullptr;
+  if (held_.empty()) return;
+  PublishScope scope(sequencer_);
+  for (SeqEvent& event : held_) sequencer_->Publish(std::move(event));
+  held_.clear();
+}
+
 bool Sequencer::Publish(SeqEvent event) {
+  if (t_pending != nullptr && t_pending->sequencer_ == this) {
+    t_pending->held_.push_back(std::move(event));
+    return true;
+  }
   uint32_t lane = external_lane();
   int32_t registered = t_publisher_lane;
   if (registered >= 0 &&

@@ -106,8 +106,32 @@ class Sequencer {
 
   /// Assigns (lane, lane_seq) from the calling thread's lane and enqueues.
   /// Caller must hold a PublishScope. Returns false when the event was
-  /// dropped (kDropNewest overflow or sequencer stopped).
+  /// dropped (kDropNewest overflow or sequencer stopped). While the thread
+  /// has a PendingPublications open, the event is held there instead.
   bool Publish(SeqEvent event);
+
+  /// Holds the calling thread's publications while its transaction runs,
+  /// so only committed events enter the merged stream: a shard retries a
+  /// rolled-back batch one event at a time, and publishing at post time
+  /// would publish the rolled-back attempt's events a second time.
+  /// Commit() publishes the held events in order; destruction without
+  /// Commit() drops them. `sequencer` may be null (nothing is held).
+  class PendingPublications {
+   public:
+    explicit PendingPublications(Sequencer* sequencer);
+    ~PendingPublications();
+
+    PendingPublications(const PendingPublications&) = delete;
+    PendingPublications& operator=(const PendingPublications&) = delete;
+
+    /// The transaction committed: publish what it posted.
+    void Commit();
+
+   private:
+    friend class Sequencer;
+    Sequencer* sequencer_;
+    std::vector<SeqEvent> held_;
+  };
 
   /// Blocks until every accepted publish has been applied — automaton
   /// steps AND firings, including firings deferred past a quiesce window —
