@@ -3,9 +3,8 @@
 // function of shard count (1/2/4/8). Every post flows through the merge
 // stage, so this measures the sequencer as a pipeline stage: shards do
 // the per-object work and mask classification in parallel, the dedicated
-// merge thread advances the shared automaton. The A/B axis is the legacy
-// inline path (class_sequencer=false), where every shard serializes on
-// class_post_mu_ for the advancement itself.
+// merge thread advances the shared automaton, and each firing's action
+// runs back on the shard that owns its object.
 //
 // run_ingest_bench.sh records this as BENCH_seq.json and gates the
 // 4-shard / 1-shard ratio (>= 2x on hosts with >= 4 CPUs).
@@ -26,8 +25,8 @@ constexpr size_t kObjects = 16;
 constexpr int kEventsPerIter = 4096;
 
 // A counting class-scope trigger over the merged stream of every
-// instance's `add`s. every-64 keeps the firing (which needs the posting
-// object's lock) off the hot path so the steady-state cost measured is
+// instance's `add`s. every-64 keeps the firing (a system transaction on
+// the owning shard) off the hot path so the steady-state cost measured is
 // classification + publish + merge + DFA step.
 ClassDef SeqBenchClass() {
   ClassDef def("seqcell");
@@ -69,7 +68,9 @@ std::vector<Oid> SetupSeq(Database* db) {
   return oids;
 }
 
-void RunScenario(benchmark::State& state, bool use_sequencer) {
+/// The sequencer pipeline: shards classify + publish, one merge thread
+/// advances the class automaton in deterministic order.
+void BM_SeqClassScope(benchmark::State& state) {
   const size_t shards = static_cast<size_t>(state.range(0));
   Database db;
   std::vector<Oid> oids = SetupSeq(&db);
@@ -78,7 +79,6 @@ void RunScenario(benchmark::State& state, bool use_sequencer) {
   opts.max_batch = 128;
   opts.queue_capacity = 4096;
   opts.record_latency = false;
-  opts.class_sequencer = use_sequencer;
   IngestRuntime rt(&db, opts);
   (void)rt.Start();
   size_t next = 0;
@@ -90,36 +90,12 @@ void RunScenario(benchmark::State& state, bool use_sequencer) {
   }
   state.SetItemsProcessed(state.iterations() * kEventsPerIter);
   state.counters["shards"] = static_cast<double>(shards);
-  if (use_sequencer && rt.sequencer() != nullptr) {
-    seq::SequencerMetricsSnapshot m = rt.sequencer()->Metrics();
-    state.counters["seq_published"] = static_cast<double>(m.published);
-    state.counters["seq_queue_hw"] =
-        static_cast<double>(m.queue_high_water);
-    state.counters["seq_lock_timeouts"] =
-        static_cast<double>(m.lock_timeouts);
-  }
+  seq::SequencerMetricsSnapshot m = rt.sequencer()->Metrics();
+  state.counters["seq_published"] = static_cast<double>(m.published);
+  state.counters["seq_queue_hw"] = static_cast<double>(m.queue_high_water);
   (void)rt.Stop();
 }
-
-/// The sequencer pipeline: shards classify + publish, one merge thread
-/// advances the class automaton in deterministic order.
-void BM_SeqClassScope(benchmark::State& state) {
-  RunScenario(state, /*use_sequencer=*/true);
-}
 BENCHMARK(BM_SeqClassScope)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/// A/B baseline: the pre-sequencer inline path — every shard advances the
-/// shared automaton itself under the recursive class-posting mutex.
-void BM_SeqLegacyInline(benchmark::State& state) {
-  RunScenario(state, /*use_sequencer=*/false);
-}
-BENCHMARK(BM_SeqLegacyInline)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

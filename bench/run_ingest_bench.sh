@@ -167,12 +167,10 @@ for b in doc["benchmarks"]:
     rates.setdefault(base, {})[int(b["shards"])] = b["items_per_second"]
 
 seq = rates.get("BM_SeqClassScope", {})
-inline = rates.get("BM_SeqLegacyInline", {})
-print(f"{'shards':>6} {'seq ev/s':>12} {'inline ev/s':>12} {'vs 1-shard':>10}")
+print(f"{'shards':>6} {'seq ev/s':>12} {'vs 1-shard':>10}")
 for shards in sorted(seq):
     scale = seq[shards] / seq[1] if 1 in seq and seq[1] > 0 else 0.0
-    inl = inline.get(shards, 0.0)
-    print(f"{shards:>6} {seq[shards]:>12.0f} {inl:>12.0f} {scale:>10.2f}")
+    print(f"{shards:>6} {seq[shards]:>12.0f} {scale:>10.2f}")
 
 cpus = os.cpu_count() or 1
 # The shard axis needs cores: the full >= 2x bar only means something when

@@ -328,7 +328,7 @@ void AppendMetricsReply(std::string* out, uint64_t seq,
   PutU64(out, sq.firings);
   PutU64(out, sq.dropped);
   PutU64(out, sq.apply_errors);
-  PutU64(out, sq.lock_timeouts);
+  PutU64(out, 0);  // Retired lock-timeout counter: kept for older decoders.
   PutU64(out, sq.queue_depth);
   PutU64(out, sq.queue_high_water);
   PutU64(out, sq.merge_lag);
@@ -444,10 +444,11 @@ FrameDecoder::State FrameDecoder::Next(Frame* out) {
       seq::SequencerMetricsSnapshot& sq = out->metrics.sequencer;
       uint8_t seq_enabled = 0;
       uint16_t lane_count = 0;
+      uint64_t retired = 0;  // The retired lock-timeout counter, always 0.
       ok = ok && in.ReadU8(&seq_enabled) && in.ReadU64(&sq.published) &&
            in.ReadU64(&sq.sequenced) && in.ReadU64(&sq.firings) &&
            in.ReadU64(&sq.dropped) && in.ReadU64(&sq.apply_errors) &&
-           in.ReadU64(&sq.lock_timeouts) && in.ReadU64(&sq.queue_depth) &&
+           in.ReadU64(&retired) && in.ReadU64(&sq.queue_depth) &&
            in.ReadU64(&sq.queue_high_water) && in.ReadU64(&sq.merge_lag) &&
            in.ReadU64(&sq.replay_deduped) && in.ReadU16(&lane_count);
       if (ok && seq_enabled > 1) ok = false;

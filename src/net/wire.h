@@ -78,8 +78,7 @@ struct RemoteMetrics {
   runtime::ShardMetricsSnapshot total;
   std::vector<runtime::ShardMetricsSnapshot> shards;
   std::vector<runtime::ProducerMetricsSnapshot> producers;
-  /// Class-scope sequencer counters (enabled=false when the serving
-  /// runtime evaluates class triggers inline).
+  /// Class-scope sequencer counters of the serving runtime.
   seq::SequencerMetricsSnapshot sequencer;
 
   std::string ToString() const;

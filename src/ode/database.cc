@@ -1059,10 +1059,25 @@ void Database::DetachSequencer() {
   sequencer_.store(nullptr, std::memory_order_release);
 }
 
-Result<int> Database::ApplySequencedEvent(const seq::SeqEvent& event,
-                                          seq::SeqApplyProgress* progress,
-                                          bool allow_unlocked) {
-  return engine_->ApplySequenced(event, progress, allow_unlocked);
+int Database::ApplySequencedEvent(const seq::SeqEvent& event,
+                                  const seq::FiringSink& sink) {
+  return engine_->ApplySequenced(event, sink);
+}
+
+Status Database::RunClassFiring(const seq::Firing& firing) {
+  seq::Sequencer::PendingPublications pending(sequencer());
+  // RunSystemTxn rolls back and reports OK when the action demands an
+  // abort; keep the action's own status so the caller sees the failure.
+  Status action = Status::OK();
+  ODE_RETURN_IF_ERROR(RunSystemTxn([&](Transaction* sys) -> Status {
+    if (Exists(firing.oid)) {
+      ODE_RETURN_IF_ERROR(TouchObject(sys, firing.oid, LockMode::kExclusive));
+    }
+    action = engine_->RunFiringAction(sys, firing);
+    return action;
+  }));
+  if (action.ok()) pending.Commit();
+  return action;
 }
 
 Status Database::ActivateClassTrigger(std::string_view class_name,
@@ -1090,6 +1105,12 @@ Status Database::ActivateClassTrigger(std::string_view class_name,
     return Status::Unimplemented(
         "class-scope triggers with time events are not supported (timers "
         "are registered per object)");
+  }
+  if (!program.event.gates.empty() ||
+      !program.event.composite_masks.empty()) {
+    return Status::Unimplemented(
+        "class-scope triggers with composite masks are not supported (the "
+        "sequencer steps class automata without reading database state)");
   }
   if (!program.spec.action.empty() &&
       actions_.Find(program.spec.action) == nullptr) {

@@ -16,6 +16,7 @@
 #include "event/history.h"
 #include "ode/class_def.h"
 #include "ode/object.h"
+#include "seq/seq_event.h"
 #include "trigger/trigger_def.h"
 #include "txn/lock_manager.h"
 #include "txn/transaction.h"
@@ -27,8 +28,6 @@ struct ClassTriggerSet;
 
 namespace seq {
 class Sequencer;
-struct SeqEvent;
-struct SeqApplyProgress;
 }  // namespace seq
 
 /// Context passed to host functions registered for mask expressions
@@ -97,10 +96,10 @@ struct DatabaseStats {
 /// slots, histories, sequence numbers) is single-writer, while the shared
 /// structures (object registry, oid allocation, txn manager, lock table,
 /// timer table, stats) are internally synchronized. Class-scope trigger
-/// slots are shared across all instances of a class; their advancement,
-/// firing, and (de)activation serialize on an internal mutex, so active
-/// class triggers are safe under multi-shard ingestion (at the cost of
-/// serializing that class's postings). Out of scope for concurrent use,
+/// slots are shared across all instances of a class: standalone, their
+/// advancement, firing and (de)activation serialize on an internal mutex;
+/// under IngestRuntime one sequencer thread steps them and each action
+/// runs on the shard that owns its object. Out of scope for concurrent use,
 /// and to be serialized by the caller (drain the runtime first): schema
 /// registration, clock advancement, persistence, and any cross-shard
 /// object access from trigger actions. See docs/RUNTIME.md for the
@@ -264,10 +263,13 @@ class Database {
   // advance and fire inline in Post, serialized by class_post_mu_. Under
   // IngestRuntime a seq::Sequencer is attached and class-scope evaluation
   // becomes its own pipeline stage: shards classify and publish, one
-  // merge thread advances and fires in a deterministic total order, and
-  // (de)activation quiesces publishers instead of just locking. See
-  // docs/SEQUENCER.md. A class may have at most 64 class-scope slots
-  // (the publish path's active bitmask).
+  // merge thread steps the automata in a deterministic total order and
+  // decides firings, the shard owning each firing's object runs its action
+  // (RunClassFiring), and (de)activation quiesces publishers instead of
+  // just locking. See docs/SEQUENCER.md. Triggers with gates or composite
+  // masks are rejected (kUnimplemented): the merge thread reads no
+  // database state. A class may have at most 64 class-scope slots (the
+  // publish path's active bitmask).
 
   // --- Trigger groups (§5 footnote 5) -----------------------------------
   //
@@ -316,12 +318,19 @@ class Database {
     return sequencer_.load(std::memory_order_acquire);
   }
 
-  /// Applies one sequenced class-scope event (sequencer thread only);
-  /// forwards to the trigger engine and re-syncs the publish-side active
-  /// bitmask after firings. See TriggerEngine::ApplySequenced.
-  Result<int> ApplySequencedEvent(const seq::SeqEvent& event,
-                                  seq::SeqApplyProgress* progress,
-                                  bool allow_unlocked);
+  /// Steps the class automata for one sequenced class-scope event
+  /// (sequencer thread only) and hands its firings to `sink`; returns how
+  /// many fired. See TriggerEngine::ApplySequenced.
+  int ApplySequencedEvent(const seq::SeqEvent& event,
+                          const seq::FiringSink& sink);
+
+  /// Runs a firing the sequencer decided: the trigger's action in a system
+  /// transaction that holds `self`'s exclusive lock, whose class-scope
+  /// postings publish only if it commits. kWouldBlock/kDeadlock: the lock
+  /// (or one the action needs) is busy and the attempt rolled back; try
+  /// again later.
+  /// Call on the thread that owns the object (its shard worker).
+  Status RunClassFiring(const seq::Firing& firing);
 
   // --- Time (§3.1) ----------------------------------------------------------
 
@@ -461,12 +470,12 @@ class Database {
   std::map<std::pair<ClassId, std::string>, std::atomic<uint64_t>>
       class_fire_counts_;
 
-  /// Serializes everything that touches class-scope trigger slots: the
-  /// engine's class-slot advancement/firing in Post (a class slot is
-  /// shared mutable state across all objects of the class, so two shard
-  /// workers posting to different instances would otherwise race on the
-  /// same automaton) and ActivateClassTrigger/DeactivateClassTrigger.
-  /// Recursive because trigger actions may post events re-entrantly.
+  /// Standalone (no sequencer attached), serializes everything that
+  /// touches class-scope trigger slots: the engine's class-slot
+  /// advancement/firing in Post (a class slot is shared mutable state
+  /// across all objects of the class) and ActivateClassTrigger/
+  /// DeactivateClassTrigger. Recursive because trigger actions may post
+  /// events re-entrantly.
   mutable std::recursive_mutex class_post_mu_;
 
   DatabaseStats stats_;

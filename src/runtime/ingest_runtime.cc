@@ -36,12 +36,6 @@ Status IngestRuntime::Start() {
   if (durable_) {
     ODE_RETURN_IF_ERROR(LoadDurability(&recovered));
   }
-  if (options_.class_sequencer) {
-    // Before the shards: workers must see the attached sequencer from
-    // their very first posted event, and order-log recovery must finish
-    // before shard-WAL replay republishes.
-    ODE_RETURN_IF_ERROR(StartSequencer(recovered));
-  }
 
   Shard::Options shard_options;
   shard_options.queue_capacity = options_.queue_capacity;
@@ -58,6 +52,17 @@ Status IngestRuntime::Start() {
     shard_options.wal = durable_ ? wal_writers_[i].get() : nullptr;
     shards_.push_back(std::make_unique<Shard>(i, db_, shard_options));
   }
+  // Between building and starting the shards: recovered firings need their
+  // inboxes, and workers must see the attached sequencer from their very
+  // first posted event.
+  ODE_RETURN_IF_ERROR(StartSequencer(recovered));
+  // Replay dedup covers everything the workers publish until FinishReplay:
+  // the recovered firings they run first republish on their firing lanes,
+  // and replayed WAL events on their user lanes, with regenerated lane
+  // sequences; the sequencer drops those at or below the order-log
+  // watermark (already applied pre-crash) — exactly-once for the class
+  // automata too.
+  if (durable_) sequencer_->BeginReplayDedup();
   for (auto& shard : shards_) shard->Start();
   running_.store(true, std::memory_order_release);
 
@@ -66,15 +71,9 @@ Status IngestRuntime::Start() {
     // baseline checkpoint: it captures pre-Start database state (objects
     // created before the runtime existed) even on a virgin directory, and
     // lets the old log files — orphans included — be retired.
-    //
-    // Replay-dedup brackets the shard replay: replayed events republish
-    // their class-scope records with regenerated lane sequences, and the
-    // sequencer drops those at or below the order-log watermark (already
-    // applied pre-crash) — exactly-once for the class automata too.
-    if (sequencer_) sequencer_->BeginReplayDedup();
     ODE_RETURN_IF_ERROR(ReplayRecovered(std::move(recovered)));
     ODE_RETURN_IF_ERROR(Drain());
-    if (sequencer_) sequencer_->FinishReplay();
+    sequencer_->FinishReplay();
     ODE_RETURN_IF_ERROR(Checkpoint());
   }
   return Status::OK();
@@ -83,9 +82,13 @@ Status IngestRuntime::Start() {
 Status IngestRuntime::StartSequencer(const wal::RecoveredState& recovered) {
   seq::Sequencer::Options seq_options;
   seq_options.queue_capacity = options_.seq_queue_capacity;
-  // One FIFO lane per shard worker plus the external lane for
+  // Per shard a user lane and a firing lane, plus the external lane for
   // unregistered threads (direct Database posts, tests).
-  seq_options.num_lanes = static_cast<uint32_t>(options_.num_shards) + 1;
+  seq_options.num_lanes = 2 * static_cast<uint32_t>(options_.num_shards) + 1;
+  // The object's owning shard runs each firing.
+  seq_options.sink = [this](seq::Firing firing) {
+    shards_[ShardOf(firing.oid)]->EnqueueFiring(std::move(firing));
+  };
   if (durable_) {
     order_log_ = std::make_unique<wal::LogWriter>();
     ODE_RETURN_IF_ERROR(order_log_->Open(
@@ -423,16 +426,23 @@ void IngestRuntime::RetireProducer(ProducerMetrics* producer) {
   }
 }
 
+void IngestRuntime::Settle(bool firings_only) {
+  // A pass that decides no firing leaves nothing behind: every firing is in
+  // its shard's inbox before the sequencer counts it, and every event a
+  // firing posts is published before its shard counts the firing run.
+  uint64_t decided;
+  do {
+    decided = sequencer_->firings();
+    for (auto& shard : shards_) shard->WaitDrained(firings_only);
+    sequencer_->WaitDrained();
+  } while (sequencer_->firings() != decided);
+}
+
 Status IngestRuntime::Drain() {
   if (!running()) {
     return Status::FailedPrecondition("ingest runtime is not running");
   }
-  for (auto& shard : shards_) shard->WaitDrained();
-  // Second stage of the barrier: the shard drains guarantee every
-  // class-scope record has been *published*; wait until the sequencer has
-  // *applied* them all, so "drained" includes class automaton advancement
-  // and class-trigger firings.
-  if (sequencer_) sequencer_->WaitDrained();
+  Settle(/*firings_only=*/false);
   // All workers are parked on their queues here (nothing mid-commit, as
   // long as producers honour the barrier contract), so reclaiming
   // finished transaction records is safe.
@@ -459,10 +469,12 @@ Status IngestRuntime::Checkpoint() {
   std::unique_lock<std::shared_mutex> gate(post_gate_);
   for (auto& shard : shards_) shard->RequestPause();
   for (auto& shard : shards_) shard->WaitPaused();
-  // With the workers parked no shard can publish; drain the sequencer so
-  // the snapshot's class automaton states and the lane counters are the
-  // settled post-apply values.
-  if (sequencer_) sequencer_->WaitDrained();
+  // Parked workers still run their firings. The snapshot waits until none
+  // is queued or running: it already holds the automaton step that decided
+  // a firing, and the order-log truncation below forgets that step, so a
+  // pending firing would be lost. Then the class automaton states and the
+  // lane counters are the settled post-apply values.
+  Settle(/*firings_only=*/true);
   Status status = CheckpointLocked();
   for (auto& shard : shards_) shard->Resume();
   return status;
@@ -500,7 +512,7 @@ Status IngestRuntime::CheckpointLocked() {
   // Lane counters at the quiesce point: everything at or below them is in
   // snapshot_body's class automaton states, and replayed shards resume
   // assigning from them.
-  if (sequencer_) data.seqlane = sequencer_->LaneCounters();
+  data.seqlane = sequencer_->LaneCounters();
   // Every record ever appended is subsumed: processed ones are in the
   // snapshot, queued ones in the inflight lists.
   for (size_t i = 0; i < wal_writers_.size(); ++i) {
@@ -538,14 +550,15 @@ Status IngestRuntime::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) {
     return Status::OK();
   }
+  // Close the queues first (a racing Post gets kShutdown), then run what
+  // they hold and every firing it decides before the workers exit.
+  for (auto& shard : shards_) shard->Close();
+  Settle(/*firings_only=*/false);
+  // Detach so post-Stop direct posting falls back to the inline class
+  // path.
+  sequencer_->Stop();
+  db_->DetachSequencer();
   for (auto& shard : shards_) shard->Stop();
-  // After the shards: their final batches may still publish class-scope
-  // records, which Stop applies before joining the merge thread. Detach so
-  // post-Stop direct posting falls back to the inline class path.
-  if (sequencer_) {
-    sequencer_->Stop();
-    db_->DetachSequencer();
-  }
   // Final durability barrier: group-commit policies may hold acked records
   // unsynced; a clean stop must not lose them.
   Status status = Status::OK();

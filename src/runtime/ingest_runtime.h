@@ -54,13 +54,8 @@ struct IngestOptions {
   /// accepted Post is appended to a per-shard WAL, and Checkpoint() is
   /// available (docs/DURABILITY.md). Default: disabled, zero hot-path cost.
   wal::WalOptions durability;
-  /// Run §9 class-scope triggers through the dedicated sequencer stage
-  /// (docs/SEQUENCER.md): shards publish compact class-event records, one
-  /// merge thread advances the shared class automata in a deterministic
-  /// total order. When false, class slots advance inline under the class
-  /// posting mutex (the pre-sequencer behaviour, kept for A/B benching).
-  bool class_sequencer = true;
-  /// Capacity of the sequencer's bounded merge queue (events).
+  /// Capacity of the bounded merge queue of the §9 class-scope sequencer
+  /// (docs/SEQUENCER.md), in events.
   size_t seq_queue_capacity = 4096;
 };
 
@@ -191,14 +186,16 @@ class IngestRuntime {
   void RetireProducer(ProducerMetrics* producer);
 
   /// Barrier: returns once every event posted before the call has been
-  /// processed (committed or dead-lettered). Callers must quiesce
+  /// processed (committed or dead-lettered), including the class-scope
+  /// firings it caused, run on their objects' shards. Callers must quiesce
   /// producers for the barrier to be meaningful.
   Status Drain();
 
   /// Durable-mode only: pauses all shards (gating producers out of Post),
-  /// snapshots database state + queued events + metrics + applied-seq sets
-  /// into an atomically-published checkpoint file, then truncates the
-  /// per-shard logs and resumes. Crash-safe at every step: recovery sees
+  /// lets them run every class-scope firing already decided, snapshots
+  /// database state + queued events + metrics + applied-seq sets into an
+  /// atomically-published checkpoint file, then truncates the per-shard
+  /// logs and the order log and resumes. Crash-safe at every step: recovery sees
   /// either the old checkpoint + full logs or the new checkpoint (+ logs
   /// whose covered records it skips). kFailedPrecondition when durability
   /// is off or the runtime is not running. Call from one control thread;
@@ -212,10 +209,10 @@ class IngestRuntime {
   /// What recovery did during Start(). Stable once Start returns.
   const RecoveryInfo& recovery() const { return recovery_; }
 
-  /// Graceful shutdown: closes the queues (pending events are still
-  /// processed), joins all workers, and (durable mode) fsyncs the logs so
-  /// every accepted event survives a clean stop. Idempotent; Post fails
-  /// afterwards.
+  /// Graceful shutdown: closes the queues (pending events, and every
+  /// class-scope firing they cause, are still processed), joins all
+  /// workers, and (durable mode) fsyncs the logs so every accepted event
+  /// survives a clean stop. Idempotent; Post fails afterwards.
   Status Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -229,8 +226,8 @@ class IngestRuntime {
   /// Aggregated + per-shard counter snapshot.
   RuntimeMetricsSnapshot Metrics() const;
 
-  /// The class-scope sequencer (null when options.class_sequencer is off
-  /// or the runtime has not started). Valid until Stop() returns.
+  /// The class-scope sequencer (null before Start()). Valid until Stop()
+  /// returns.
   seq::Sequencer* sequencer() const { return sequencer_.get(); }
 
   /// True once any log writer (shard WAL or sequencer order log) hit a
@@ -256,9 +253,14 @@ class IngestRuntime {
   /// Checkpoint body, called with the post gate held and shards paused.
   Status CheckpointLocked();
   /// Builds the sequencer (durable mode also opens the order log and
-  /// re-applies its records), attaches it to the database, and starts its
-  /// merge thread. Called from Start() before the shards begin replay.
+  /// re-applies its records, whose firings land in the not-yet-started
+  /// shards' inboxes), attaches it to the database, and starts its merge
+  /// thread. Called from Start() between building and starting the shards.
   Status StartSequencer(const wal::RecoveredState& recovered);
+  /// Cycles shards → sequencer → firing inboxes until a pass decides no new
+  /// firing: then no event or firing is queued, running or unmerged. With
+  /// `firings_only` (paused shards) the shard queues are left alone.
+  void Settle(bool firings_only);
   /// First-failure escalation: latch wal_degraded_, print the operator
   /// banner once. Safe from any thread.
   void DegradeWal(const char* what, const Status& status);

@@ -165,15 +165,13 @@ std::string RuntimeMetricsSnapshot::ToString() const {
   if (sequencer.enabled) {
     out += StrFormat(
         "  sequencer: published=%llu sequenced=%llu firings=%llu "
-        "dropped=%llu apply_errors=%llu lock_timeouts=%llu "
-        "queue_depth=%llu high_water=%llu merge_lag=%llu "
-        "replay_deduped=%llu\n",
+        "dropped=%llu apply_errors=%llu queue_depth=%llu "
+        "high_water=%llu merge_lag=%llu replay_deduped=%llu\n",
         static_cast<unsigned long long>(sequencer.published),
         static_cast<unsigned long long>(sequencer.sequenced),
         static_cast<unsigned long long>(sequencer.firings),
         static_cast<unsigned long long>(sequencer.dropped),
         static_cast<unsigned long long>(sequencer.apply_errors),
-        static_cast<unsigned long long>(sequencer.lock_timeouts),
         static_cast<unsigned long long>(sequencer.queue_depth),
         static_cast<unsigned long long>(sequencer.queue_high_water),
         static_cast<unsigned long long>(sequencer.merge_lag),

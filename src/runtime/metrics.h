@@ -166,8 +166,7 @@ struct RuntimeMetricsSnapshot {
   std::vector<ShardMetricsSnapshot> shards;
   std::vector<ProducerMetricsSnapshot> producers;
   WalMetricsSummary wal;
-  /// Class-scope sequencer counters (enabled=false when the runtime runs
-  /// without a sequencer and class triggers evaluate inline).
+  /// Class-scope sequencer counters (enabled=false before Start()).
   seq::SequencerMetricsSnapshot sequencer;
 
   /// Multi-line text dump for benches and operator logs.

@@ -21,15 +21,19 @@ void Shard::Start() {
   worker_ = std::thread([this] { Run(); });
 }
 
+void Shard::Close() { queue_.Close(); }
+
 void Shard::Stop() {
-  queue_.Close();
-  // A worker parked in ParkUntilResumed would never see the close; release
-  // it (Stop during a checkpoint pause is a caller bug, but must not hang).
-  pause_requested_.store(false, std::memory_order_release);
+  Close();
   {
-    std::lock_guard<std::mutex> lock(pause_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
+    exit_ = true;
+    // A worker parked in ParkUntilResumed would never see the exit; release
+    // it (Stop during a checkpoint pause is a caller bug, but must not
+    // hang).
+    pause_requested_.store(false, std::memory_order_release);
   }
-  pause_cv_.notify_all();
+  cv_.notify_all();
   if (worker_.joinable()) worker_.join();
 }
 
@@ -97,7 +101,7 @@ Status Shard::Enqueue(IngestEvent&& event, bool* enqueued, bool non_blocking) {
   metrics_.RecordEnqueue();
   if (enqueued != nullptr) *enqueued = true;
   {
-    std::lock_guard<std::mutex> lock(drain_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     ++enqueued_;
   }
   if (log_event) {
@@ -114,38 +118,65 @@ Status Shard::Enqueue(IngestEvent&& event, bool* enqueued, bool non_blocking) {
   return Status::OK();
 }
 
+void Shard::EnqueueFiring(seq::Firing firing) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    inbox_.push_back(std::move(firing));
+    ++firings_enqueued_;
+  }
+  cv_.notify_all();     // A worker parked or idle on a closed queue.
+  queue_.Interrupt();   // A worker waiting for its next batch.
+}
+
 void Shard::RequestPause() {
   pause_requested_.store(true, std::memory_order_release);
   queue_.Interrupt();
 }
 
 void Shard::WaitPaused() {
-  std::unique_lock<std::mutex> lock(pause_mu_);
-  pause_cv_.wait(lock, [&] { return paused_; });
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return paused_; });
 }
 
 void Shard::Resume() {
-  pause_requested_.store(false, std::memory_order_release);
   {
-    std::lock_guard<std::mutex> lock(pause_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
+    pause_requested_.store(false, std::memory_order_release);
   }
-  pause_cv_.notify_all();
+  cv_.notify_all();
 }
 
 void Shard::ParkUntilResumed() {
-  std::unique_lock<std::mutex> lock(pause_mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   paused_ = true;
-  pause_cv_.notify_all();
-  pause_cv_.wait(lock, [&] {
-    return !pause_requested_.load(std::memory_order_acquire);
-  });
+  cv_.notify_all();
+  for (;;) {
+    cv_.wait(lock, [&] {
+      return !pause_requested_.load(std::memory_order_acquire) ||
+             !inbox_.empty();
+    });
+    if (inbox_.empty()) break;
+    // The checkpoint waits for every decided firing to run.
+    lock.unlock();
+    RunFirings();
+    lock.lock();
+  }
   paused_ = false;
 }
 
-void Shard::WaitDrained() {
-  std::unique_lock<std::mutex> lock(drain_mu_);
-  const uint64_t target = enqueued_;
-  drain_cv_.wait(lock, [&] { return completed_ >= target; });
+bool Shard::WaitAfterClose() {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return exit_ || !inbox_.empty(); });
+  return !inbox_.empty();
+}
+
+void Shard::WaitDrained(bool firings_only) {
+  std::unique_lock<std::mutex> lock(mu_);
+  const uint64_t events = firings_only ? 0 : enqueued_;
+  const uint64_t firings = firings_enqueued_;
+  cv_.wait(lock, [&] {
+    return completed_ >= events && firings_run_ >= firings;
+  });
 }
 
 ShardMetricsSnapshot Shard::MetricsSnapshot() const {
@@ -162,19 +193,55 @@ void Shard::Run() {
   batch.reserve(options_.max_batch);
   while (true) {
     if (pause_requested_.load(std::memory_order_acquire)) ParkUntilResumed();
+    RunFirings();
     batch.clear();
     size_t n = queue_.PopBatch(&batch, options_.max_batch);
     if (n == 0) {
-      // Either shutdown (closed and fully drained) or an Interrupt() kick —
-      // loop back to the pause check in the latter case.
-      if (queue_.closed() && queue_.size() == 0) break;
+      // An Interrupt() kick (pause request or firing): loop back. A closed,
+      // drained queue still takes firings until Stop.
+      if (queue_.closed() && queue_.size() == 0 && !WaitAfterClose()) break;
       continue;
     }
     ProcessBatch(batch);
-    std::lock_guard<std::mutex> lock(drain_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     completed_ += n;
-    drain_cv_.notify_all();
+    cv_.notify_all();
   }
+}
+
+void Shard::RunFirings() {
+  std::vector<seq::Firing> firings;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (inbox_.empty()) return;
+    firings.swap(inbox_);
+  }
+  // Events the actions post publish on this shard's firing lane: the user
+  // lane must stay a pure function of the WAL order for replay dedup,
+  // while the firing lane follows the merge order, which order-log
+  // recovery reproduces.
+  seq::Sequencer* sequencer = db_->sequencer();
+  seq::SetThreadPublisherLane(
+      static_cast<int32_t>(sequencer->firing_lane(index_)));
+  for (const seq::Firing& firing : firings) RunFiring(firing);
+  seq::SetThreadPublisherLane(static_cast<int32_t>(index_));
+  std::lock_guard<std::mutex> lock(mu_);
+  firings_run_ += firings.size();
+  cv_.notify_all();
+}
+
+void Shard::RunFiring(const seq::Firing& firing) {
+  Status last = Status::OK();
+  for (int attempt = 0; attempt <= options_.error_policy.max_retries;
+       ++attempt) {
+    if (attempt > 0) Backoff(attempt);
+    last = db_->RunClassFiring(firing);
+    if (last.code() != StatusCode::kWouldBlock &&
+        last.code() != StatusCode::kDeadlock) {
+      break;
+    }
+  }
+  if (!last.ok()) db_->sequencer()->CountFiringError();
 }
 
 void Shard::ProcessBatch(const std::vector<IngestEvent>& batch) {
@@ -240,18 +307,20 @@ void Shard::ProcessOne(const IngestEvent& event) {
   Status last = Status::OK();
   for (int attempt = 0; attempt <= options_.error_policy.max_retries;
        ++attempt) {
-    if (attempt > 0) {
-      metrics_.RecordRetry();
-      const int shift = attempt - 1 < 10 ? attempt - 1 : 10;
-      std::this_thread::sleep_for(options_.error_policy.initial_backoff *
-                                  (1 << shift));
-    }
+    if (attempt > 0) Backoff(attempt);
     last = TryOne(event);
     if (last.ok()) return;
     metrics_.RecordAbort();
     if (!IsRetryable(last)) break;
   }
   DeadLetter(event, last);
+}
+
+void Shard::Backoff(int attempt) {
+  metrics_.RecordRetry();
+  const int shift = attempt - 1 < 10 ? attempt - 1 : 10;
+  std::this_thread::sleep_for(options_.error_policy.initial_backoff *
+                              (1 << shift));
 }
 
 Status Shard::TryOne(const IngestEvent& event) {

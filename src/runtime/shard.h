@@ -1,6 +1,7 @@
 #ifndef ODE_RUNTIME_SHARD_H_
 #define ODE_RUNTIME_SHARD_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "common/status.h"
 #include "runtime/event_queue.h"
 #include "runtime/metrics.h"
+#include "seq/seq_event.h"
 #include "wal/log_writer.h"
 
 namespace ode {
@@ -49,6 +51,10 @@ struct ErrorPolicy {
 /// fails, the rollback is total, so the worker replays the same events
 /// individually — each in its own transaction under the ErrorPolicy —
 /// which keeps one poison event from discarding its neighbours.
+///
+/// The worker also runs the class-scope firings the sequencer decides for
+/// the objects it owns (EnqueueFiring), at its loop head before its next
+/// batch, so no other thread ever writes those objects.
 class Shard {
  public:
   struct Options {
@@ -103,6 +109,15 @@ class Shard {
   Status Enqueue(IngestEvent&& event, bool* enqueued = nullptr,
                  bool non_blocking = false);
 
+  /// Appends a class-scope firing for an object this shard owns and wakes
+  /// the worker, which runs it before its next batch: one system
+  /// transaction per firing, with the ErrorPolicy's retries for a busy
+  /// lock; a firing that still fails is counted in the sequencer's
+  /// apply_errors. Never blocks (the inbox is unbounded): the sequencer's
+  /// merge thread calls it, and a shard may itself be waiting on that
+  /// thread to make room in the sequencer queue.
+  void EnqueueFiring(seq::Firing firing);
+
   /// Installs (or clears) the queue's full→not-full space hook; see
   /// EventQueue::SetSpaceCallback for the (locked) invocation contract.
   void SetCapacityCallback(std::function<void()> cb) {
@@ -119,18 +134,24 @@ class Shard {
   /// it out of its queue wait; WaitPaused blocks until it parks at the loop
   /// head; Resume lets it run again. While paused the queue is quiescent,
   /// so SnapshotQueue captures exactly the accepted-but-unprocessed events.
+  /// A parked worker still runs the firings it is handed.
   void RequestPause();
   void WaitPaused();
   void Resume();
   std::vector<IngestEvent> SnapshotQueue() const { return queue_.Snapshot(); }
 
-  /// Blocks until every event enqueued before this call has been processed
-  /// (committed or dead-lettered). Barrier semantics only hold if no
+  /// Blocks until every event and firing enqueued before this call has
+  /// been processed (committed, dead-lettered or counted as failed); with
+  /// `firings_only`, the firings alone. Barrier semantics only hold if no
   /// producer posts to this shard concurrently with the wait.
-  void WaitDrained();
+  void WaitDrained(bool firings_only = false);
 
-  /// Closes the queue (subsequent Enqueues fail), drains what remains, and
-  /// joins the worker. Idempotent.
+  /// Closes the queue: subsequent Enqueues fail, while the worker goes on
+  /// running what the queue holds and every firing it is handed.
+  void Close();
+
+  /// Closes the queue, lets the worker finish its queue and inbox, and
+  /// joins it. Idempotent.
   void Stop();
 
   size_t index() const { return index_; }
@@ -140,13 +161,21 @@ class Shard {
   ShardMetricsSnapshot MetricsSnapshot() const;
 
  private:
-  void Run();  ///< Worker loop: PopBatch → ProcessBatch until closed+empty.
+  void Run();  ///< Worker loop: firings, then PopBatch → ProcessBatch.
   void ParkUntilResumed();  ///< Worker-side half of the pause protocol.
+  /// The queue is closed and empty: waits for a firing or Stop. False
+  /// once the worker should exit.
+  bool WaitAfterClose();
+  /// Runs every firing in the inbox, on this shard's firing lane.
+  void RunFirings();
+  void RunFiring(const seq::Firing& firing);
   void ProcessBatch(const std::vector<IngestEvent>& batch);
   /// One transaction around the whole batch.
   Status RunBatch(const std::vector<IngestEvent>& batch);
   /// Retry loop for a single event, ending in success or dead-letter.
   void ProcessOne(const IngestEvent& event);
+  /// Counts retry `attempt` (1-based) and sleeps its doubling backoff.
+  void Backoff(int attempt);
   /// One transaction around a single event.
   Status TryOne(const IngestEvent& event);
   void DeadLetter(const IngestEvent& event, const Status& status);
@@ -161,12 +190,19 @@ class Shard {
   mutable ShardMetrics metrics_;
   std::thread worker_;
 
-  // Drain barrier: enqueued_ counts events accepted into the queue,
-  // completed_ counts events fully processed. Both under drain_mu_.
-  mutable std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
+  // Drain barrier, firing inbox and pause/exit state, all under mu_; cv_
+  // wakes drain waiters and a worker that is parked or idle on a closed
+  // queue. enqueued_ counts events accepted into the queue, completed_
+  // events fully processed; the firing counters do the same for inbox_.
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
   uint64_t enqueued_ = 0;
   uint64_t completed_ = 0;
+  std::vector<seq::Firing> inbox_;
+  uint64_t firings_enqueued_ = 0;
+  uint64_t firings_run_ = 0;
+  bool paused_ = false;
+  bool exit_ = false;
 
   /// Serializes producers through the push+WAL-append critical section so
   /// the log's record order matches the queue's event order. Uncontended
@@ -177,12 +213,9 @@ class Shard {
   /// by monitoring.
   std::atomic<bool> wal_degraded_{false};
 
-  // Pause protocol state: pause_requested_ is the producer-side flag the
-  // worker polls at its loop head; paused_ (under pause_mu_) acknowledges.
+  /// Pause protocol: the flag the worker polls at its loop head (set
+  /// under mu_ where a parked worker must wake); paused_ acknowledges.
   std::atomic<bool> pause_requested_{false};
-  std::mutex pause_mu_;
-  std::condition_variable pause_cv_;
-  bool paused_ = false;
 };
 
 }  // namespace runtime

@@ -2,12 +2,15 @@
 #define ODE_SEQ_SEQ_EVENT_H_
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/value.h"
 #include "event/posted_event.h"
 #include "ode/class_def.h"
+#include "trigger/trigger_def.h"
 
 namespace ode {
 namespace seq {
@@ -15,9 +18,9 @@ namespace seq {
 /// One trigger slot's precomputed classification for a published event.
 /// Classification (atom-mask evaluation against the posting object, §5)
 /// happens on the owner shard at publish time, where the object's lock is
-/// already held; the sequencer thread then only steps automata and fires.
-/// This is the local-detection / global-composition split: the shard does
-/// the per-event work that needs the object, the sequencer does the
+/// already held; the sequencer thread then only steps automata. This is
+/// the local-detection / global-composition split: the shard does the
+/// per-event work that needs the object, the sequencer does the
 /// order-sensitive work that needs the merged stream.
 struct SeqSym {
   int32_t trigger_idx = -1;  ///< Index into RegisteredClass::triggers.
@@ -26,8 +29,8 @@ struct SeqSym {
 
 /// What an instance shard publishes into the sequencer queue: one posted
 /// event destined for a class's shared (§9 class-scope) trigger automata.
-/// `(lane, lane_seq)` is the replay-stable identity — lane = shard index
-/// (plus one external lane for non-worker posters), lane_seq a per-lane
+/// `(lane, lane_seq)` is the replay-stable identity — the lane is a
+/// publisher stream (Sequencer::Options::num_lanes), lane_seq a per-lane
 /// monotone counter — used for tie-breaking within a drained batch, for
 /// watermark accounting, and for exactly-once dedup during crash recovery.
 struct SeqEvent {
@@ -37,20 +40,29 @@ struct SeqEvent {
   uint64_t lane_seq = 0;
   PostedEvent event;          ///< Full payload (args feed masks/witnesses).
   std::vector<SeqSym> syms;   ///< One entry per publish-time-active slot.
+  /// Posting depth (§5 cascade bound) at publish; not in the order log.
+  int32_t depth = 0;
 };
 
-/// Retry bookkeeping for TriggerEngine::ApplySequenced. The lock-free
-/// advancement phase must run at most once per event (DFA steps are not
-/// idempotent); `advanced` latches it so a kWouldBlock bounce from the
-/// firing transaction's object acquisition retries only the firing.
-struct SeqApplyProgress {
-  bool advanced = false;
-  std::vector<int32_t> pending_fire;  ///< trigger_idx of occurred slots.
-  /// First non-retryable error from the firing phase (action failures are
-  /// recorded, counted, and skipped — never retried, so fire counters
-  /// cannot drift).
-  std::string error;
+/// A class-scope firing the merge thread decided: the slot accepted, was
+/// counted and (if ordinary) disarmed. The owning shard of `oid` runs the
+/// action from this record, so it carries its own copies of what the
+/// action reads: the slot's witnesses and params at the firing point.
+struct Firing {
+  ClassId class_id = 0;
+  int32_t trigger_idx = -1;  ///< Index into RegisteredClass::triggers.
+  Oid oid;                   ///< The posting instance (action `self`).
+  PostedEvent event;         ///< The occurrence that fired the trigger.
+  WitnessArray witnesses;
+  std::map<std::string, Value> params;
+  /// SeqEvent::depth of the event: the action's postings go one deeper, so
+  /// the §5 depth bound holds across the hop to the owner shard.
+  int32_t depth = 0;
 };
+
+/// Where the merge thread hands each firing. It must not block: the
+/// runtime's sink appends to the owner shard's unbounded inbox.
+using FiringSink = std::function<void(Firing)>;
 
 }  // namespace seq
 }  // namespace ode

@@ -32,7 +32,9 @@ SeqQueue::PushResult SeqQueue::TryPush(SeqEvent event) {
   return PushResult::kOk;
 }
 
-size_t SeqQueue::DrainLocked(std::vector<SeqEvent>* out) {
+size_t SeqQueue::WaitDrainInto(std::vector<SeqEvent>* out) {
+  std::unique_lock<std::mutex> lock(mu_);
+  not_empty_.wait(lock, [&] { return count_ > 0 || closed_; });
   size_t n = count_;
   for (size_t i = 0; i < n; ++i) {
     out->push_back(std::move(ring_[(head_ + i) % capacity_]));
@@ -43,34 +45,11 @@ size_t SeqQueue::DrainLocked(std::vector<SeqEvent>* out) {
   return n;
 }
 
-size_t SeqQueue::WaitDrainInto(std::vector<SeqEvent>* out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [&] { return count_ > 0 || closed_ || kicked_; });
-  kicked_ = false;
-  return DrainLocked(out);
-}
-
-size_t SeqQueue::DrainInto(std::vector<SeqEvent>* out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  return DrainLocked(out);
-}
-
-void SeqQueue::Kick() {
-  std::unique_lock<std::mutex> lock(mu_);
-  kicked_ = true;
-  not_empty_.notify_all();
-}
-
 void SeqQueue::Close() {
   std::unique_lock<std::mutex> lock(mu_);
   closed_ = true;
   not_full_.notify_all();
   not_empty_.notify_all();
-}
-
-bool SeqQueue::closed() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return closed_;
 }
 
 size_t SeqQueue::size() const {

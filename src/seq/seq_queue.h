@@ -12,10 +12,9 @@ namespace seq {
 
 /// The sequencer's bounded multi-producer single-consumer queue: shard
 /// workers (and the external lane) push SeqEvents, the sequencer thread
-/// drains them. Same ring-under-one-mutex shape as runtime::EventQueue but
-/// with a non-blocking DrainInto — the consumer must be able to make room
-/// while it is itself waiting on an object lock, which is what breaks the
-/// publisher-holds-lock / queue-full cycle (see docs/SEQUENCER.md).
+/// drains them. Same ring-under-one-mutex shape as runtime::EventQueue, but
+/// the consumer takes everything queued at once. It waits on nothing else,
+/// so a publisher blocked on a full queue is always freed.
 class SeqQueue {
  public:
   enum class PushResult { kOk, kFull, kClosed };
@@ -31,31 +30,19 @@ class SeqQueue {
   /// Never blocks: kFull when at capacity.
   PushResult TryPush(SeqEvent event);
 
-  /// Blocks until at least one event is available, the queue is closed
-  /// and empty, or Kick() was called; appends everything queued to `*out`
-  /// in FIFO order and returns the number appended (0 at shutdown or on a
-  /// kick with nothing queued).
+  /// Blocks until at least one event is available or the queue is closed
+  /// and empty; appends everything queued to `*out` in FIFO order and
+  /// returns the number appended (0 only at shutdown).
   size_t WaitDrainInto(std::vector<SeqEvent>* out);
-
-  /// Non-blocking: appends whatever is queued right now to `*out`.
-  size_t DrainInto(std::vector<SeqEvent>* out);
-
-  /// Wakes the consumer out of WaitDrainInto even with nothing queued —
-  /// the sequencer uses it to revisit deferred work (end of a quiesce).
-  /// One kick satisfies one wait; it is consumed, not sticky.
-  void Kick();
 
   /// No further pushes succeed; the consumer drains what remains.
   void Close();
 
-  bool closed() const;
   size_t size() const;
   size_t capacity() const { return capacity_; }
   size_t high_water() const;
 
  private:
-  size_t DrainLocked(std::vector<SeqEvent>* out);
-
   const size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_full_;   ///< Producers wait for space.
@@ -65,7 +52,6 @@ class SeqQueue {
   size_t count_ = 0;
   size_t high_water_ = 0;
   bool closed_ = false;
-  bool kicked_ = false;
 };
 
 }  // namespace seq

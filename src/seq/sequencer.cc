@@ -1,9 +1,6 @@
 #include "seq/sequencer.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstddef>
-#include <thread>
 #include <utility>
 
 #include "common/strutil.h"
@@ -16,21 +13,7 @@ namespace seq {
 namespace {
 
 thread_local int32_t t_publisher_lane = -1;
-thread_local bool t_on_sequencer_thread = false;
 thread_local Sequencer::PendingPublications* t_pending = nullptr;
-
-/// Scoped "this thread is the sequencer" marker (the merge thread for its
-/// lifetime, ApplyRecovered for one call).
-class SequencerThreadScope {
- public:
-  SequencerThreadScope() : prev_(t_on_sequencer_thread) {
-    t_on_sequencer_thread = true;
-  }
-  ~SequencerThreadScope() { t_on_sequencer_thread = prev_; }
-
- private:
-  bool prev_;
-};
 
 bool SeqOrder(const SeqEvent& a, const SeqEvent& b) {
   if (a.lane != b.lane) return a.lane < b.lane;
@@ -41,7 +24,6 @@ bool SeqOrder(const SeqEvent& a, const SeqEvent& b) {
 
 void SetThreadPublisherLane(int32_t lane) { t_publisher_lane = lane; }
 int32_t ThreadPublisherLane() { return t_publisher_lane; }
-bool OnSequencerThread() { return t_on_sequencer_thread; }
 
 Sequencer::Sequencer(Database* db, Options options)
     : db_(db),
@@ -59,6 +41,9 @@ Sequencer::Sequencer(Database* db, Options options)
 Sequencer::~Sequencer() { Stop(); }
 
 Status Sequencer::Start() {
+  if (!options_.sink) {
+    return Status::InvalidArgument("sequencer needs a firing sink");
+  }
   if (started_.exchange(true)) {
     return Status::FailedPrecondition("sequencer already started");
   }
@@ -165,73 +150,51 @@ void Sequencer::NoteConsumed() {
 
 void Sequencer::WaitDrained() {
   std::unique_lock<std::mutex> lock(drain_mu_);
-  drained_cv_.wait(lock, [&] {
-    return Drained() &&
-           deferred_count_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-void Sequencer::WaitMergeIdle() {
-  std::unique_lock<std::mutex> lock(drain_mu_);
   drained_cv_.wait(lock, [&] { return Drained(); });
 }
 
 Status Sequencer::ExecuteQuiesced(const std::function<Status()>& fn) {
-  const bool on_merge_thread = OnSequencerThread();
   {
     std::unique_lock<std::mutex> lock(gate_mu_);
     gate_cv_.wait(lock, [&] { return !gate_closed_; });
     gate_closed_ = true;
-    // Shard workers now parking at the gate may hold their batch
-    // transaction's object locks mid-transaction. Tell the merge loop:
-    // with the flag up it defers firings that hit such a lock instead of
-    // burning its full retry budget against a holder that cannot release
-    // until the gate reopens.
-    if (!on_merge_thread) {
-      quiescing_.store(true, std::memory_order_release);
-    }
-    // Publishers past the gate may be blocked in a full queue; when the
-    // merge thread itself is the quiescer nobody else will free them, so
-    // interleave drains with the wait.
-    while (publishing_ != 0) {
-      if (on_merge_thread) {
-        lock.unlock();
-        queue_.DrainInto(&spill_);
-        lock.lock();
-        gate_cv_.wait_for(lock, std::chrono::milliseconds(1),
-                          [&] { return publishing_ == 0; });
-      } else {
-        gate_cv_.wait(lock, [&] { return publishing_ == 0; });
-      }
-    }
+    // A publisher past the gate may be blocked in a full queue; the merge
+    // thread, which never waits on anything but the queue, frees it.
+    gate_cv_.wait(lock, [&] { return publishing_ == 0; });
   }
-  // From any other thread, also wait for the merge loop to consume every
-  // accepted publish so it is not touching slot memory while `fn` mutates
-  // it. Merge-idle, not fully drained: deferred firings need the gate we
-  // are holding closed, and they only touch objects, never slot structure.
-  // The merge thread skips this (it is the one that would have to drain).
-  if (!on_merge_thread && started_.load(std::memory_order_acquire) &&
+  // Also wait for the merge thread to consume every accepted publish, so
+  // it is not touching slot memory while `fn` mutates it.
+  if (started_.load(std::memory_order_acquire) &&
       !stopped_.load(std::memory_order_acquire)) {
-    WaitMergeIdle();
+    WaitDrained();
   }
   Status s = fn();
   {
     std::lock_guard<std::mutex> lock(gate_mu_);
     gate_closed_ = false;
-    if (!on_merge_thread) {
-      quiescing_.store(false, std::memory_order_release);
-    }
     gate_cv_.notify_all();
-  }
-  // The merge thread may be asleep on an empty queue with deferred
-  // firings in hand; wake it to flush them.
-  if (deferred_count_.load(std::memory_order_acquire) > 0) {
-    queue_.Kick();
   }
   return s;
 }
 
-void Sequencer::ApplyOne(SeqEvent& event) {
+void Sequencer::Apply(const SeqEvent& event) {
+  const int fired = db_->ApplySequencedEvent(event, options_.sink);
+  // Counted after the sink took them: a reader that sees the count finds
+  // the firings in the sink (IngestRuntime's drain barrier relies on it).
+  if (fired > 0) {
+    firings_.fetch_add(static_cast<uint64_t>(fired),
+                       std::memory_order_release);
+  }
+  sequenced_.fetch_add(1, std::memory_order_relaxed);
+  if (event.lane < watermark_.size()) {
+    std::atomic<uint64_t>& wm = watermark_[event.lane];
+    if (event.lane_seq > wm.load(std::memory_order_relaxed)) {
+      wm.store(event.lane_seq, std::memory_order_relaxed);
+    }
+  }
+}
+
+void Sequencer::ApplyOne(const SeqEvent& event) {
   if (replay_dedup_.load(std::memory_order_relaxed) &&
       event.lane < watermark_.size() &&
       event.lane_seq <=
@@ -240,60 +203,7 @@ void Sequencer::ApplyOne(SeqEvent& event) {
     NoteConsumed();
     return;
   }
-
-  SeqApplyProgress progress;
-  for (int attempt = 0;; ++attempt) {
-    const bool unlocked = attempt >= options_.lock_retry_limit;
-    if (unlocked && attempt == options_.lock_retry_limit) {
-      lock_timeouts_.fetch_add(1, std::memory_order_relaxed);
-    }
-    Result<int> fired = db_->ApplySequencedEvent(event, &progress, unlocked);
-    if (fired.ok()) {
-      if (*fired > 0) {
-        firings_.fetch_add(static_cast<uint64_t>(*fired),
-                           std::memory_order_relaxed);
-      }
-      break;
-    }
-    StatusCode code = fired.status().code();
-    if (!unlocked && (code == StatusCode::kWouldBlock ||
-                      code == StatusCode::kDeadlock)) {
-      if (progress.advanced &&
-          quiescing_.load(std::memory_order_acquire)) {
-        // The lock holder is a shard transaction parked at the closed
-        // publish gate: it cannot commit (and release the lock) until the
-        // quiesce — which is in turn waiting on this merge loop — ends.
-        // The automaton step is already latched, so park just the firing
-        // phase and finish it right after the gate reopens; the event's
-        // position in the total order (watermark, order log) is fixed now,
-        // below.
-        deferred_.push_back({event, std::move(progress)});
-        deferred_count_.fetch_add(1, std::memory_order_release);
-        progress = SeqApplyProgress{};
-        break;
-      }
-      // The posting object's lock is held by a shard transaction; free any
-      // publishers blocked on a full queue, then retry. This is what
-      // breaks the shard-holds-lock / queue-full cycle.
-      queue_.DrainInto(&spill_);
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.lock_retry_sleep_us));
-      continue;
-    }
-    apply_errors_.fetch_add(1, std::memory_order_relaxed);
-    break;
-  }
-  if (!progress.error.empty()) {
-    apply_errors_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  sequenced_.fetch_add(1, std::memory_order_relaxed);
-  if (event.lane < watermark_.size()) {
-    std::atomic<uint64_t>& wm = watermark_[event.lane];
-    if (event.lane_seq > wm.load(std::memory_order_relaxed)) {
-      wm.store(event.lane_seq, std::memory_order_relaxed);
-    }
-  }
+  Apply(event);
 
   // Write-behind order log: logged ⊆ applied. An event the codec cannot
   // hold is counted and skipped (recovery re-applies its lane only up to
@@ -314,121 +224,23 @@ void Sequencer::ApplyOne(SeqEvent& event) {
   NoteConsumed();
 }
 
-void Sequencer::FlushDeferred() {
-  // Participate in the publish gate: FireSlot reads the slot memory a
-  // quiescer's fn may mutate, so a gate-closer must be able to wait this
-  // flush out via publishing_ == 0 — and we must not start one while the
-  // gate is closed (the reopen kick will bring us back).
-  {
-    std::unique_lock<std::mutex> lock(gate_mu_);
-    if (gate_closed_) return;
-    ++publishing_;
-  }
-  size_t done = 0;
-  while (done < deferred_.size()) {
-    if (quiescing_.load(std::memory_order_acquire)) break;  // re-park
-    DeferredFire& d = deferred_[done];
-    bool reparked = false;
-    for (int attempt = 0;; ++attempt) {
-      const bool unlocked = attempt >= options_.lock_retry_limit;
-      if (unlocked && attempt == options_.lock_retry_limit) {
-        lock_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      }
-      // progress.advanced is latched, so only the firing transaction runs.
-      Result<int> fired =
-          db_->ApplySequencedEvent(d.event, &d.progress, unlocked);
-      if (fired.ok()) {
-        if (*fired > 0) {
-          firings_.fetch_add(static_cast<uint64_t>(*fired),
-                             std::memory_order_relaxed);
-        }
-        break;
-      }
-      StatusCode code = fired.status().code();
-      if (!unlocked && (code == StatusCode::kWouldBlock ||
-                        code == StatusCode::kDeadlock)) {
-        if (quiescing_.load(std::memory_order_acquire)) {
-          reparked = true;  // lock holder is parked at the new gate close
-          break;
-        }
-        queue_.DrainInto(&spill_);
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(options_.lock_retry_sleep_us));
-        continue;
-      }
-      apply_errors_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-    if (reparked) break;
-    if (!d.progress.error.empty()) {
-      apply_errors_.fetch_add(1, std::memory_order_relaxed);
-    }
-    ++done;
-    deferred_count_.fetch_sub(1, std::memory_order_release);
-  }
-  deferred_.erase(deferred_.begin(),
-                  deferred_.begin() + static_cast<ptrdiff_t>(done));
-  ExitPublish();
-  std::lock_guard<std::mutex> lock(drain_mu_);
-  drained_cv_.notify_all();
-}
-
 void Sequencer::Run() {
-  SequencerThreadScope scope;
-  for (;;) {
-    if (pending_.empty()) {
-      if (deferred_count_.load(std::memory_order_acquire) > 0 &&
-          !quiescing_.load(std::memory_order_acquire)) {
-        FlushDeferred();
-      }
-      if (!spill_.empty()) {
-        // Events drained to unblock publishers while a deferred firing
-        // waited on a lock.
-        std::stable_sort(spill_.begin(), spill_.end(), SeqOrder);
-        pending_.swap(spill_);
-      } else {
-        size_t n = queue_.WaitDrainInto(&pending_);
-        if (n == 0) {
-          if (queue_.closed()) break;
-          continue;  // A kick: loop back to flush deferred firings.
-        }
-        // Deterministic batch merge: everything drained together is applied
-        // in ascending (lane, lane_seq) — the tie-break of the ordering
-        // contract. Per-lane FIFO is preserved because a lane's events
-        // enter the queue in lane_seq order.
-        std::stable_sort(pending_.begin(), pending_.end(), SeqOrder);
-      }
-    }
-    size_t i = 0;
-    while (i < pending_.size()) {
+  std::vector<SeqEvent> batch;
+  // WaitDrainInto returns 0 only once the queue is closed and empty.
+  while (queue_.WaitDrainInto(&batch) > 0) {
+    // Deterministic batch merge: everything drained together is applied in
+    // ascending (lane, lane_seq) — the tie-break of the ordering contract.
+    // Per-lane FIFO is preserved because a lane's events enter the queue
+    // in lane_seq order.
+    std::stable_sort(batch.begin(), batch.end(), SeqOrder);
+    for (size_t i = 0; i < batch.size(); ++i) {
       // Published before apply: ApplyOne of the final event wakes drain
       // waiters, who may sample Metrics() immediately — the backlog must
       // already exclude the event being applied.
-      backlog_.store(pending_.size() - i - 1, std::memory_order_relaxed);
-      ApplyOne(pending_[i]);
-      ++i;
-      if (!spill_.empty()) {
-        // Events drained while the head waited on a lock: newer than
-        // everything already pending on their lanes, so they sort among
-        // themselves and go to the back.
-        std::stable_sort(spill_.begin(), spill_.end(), SeqOrder);
-        for (SeqEvent& e : spill_) pending_.push_back(std::move(e));
-        spill_.clear();
-        backlog_.store(pending_.size() - i, std::memory_order_relaxed);
-      }
+      backlog_.store(batch.size() - i - 1, std::memory_order_relaxed);
+      ApplyOne(batch[i]);
     }
-    pending_.clear();
-    backlog_.store(0, std::memory_order_relaxed);
-  }
-  // Queue closed: everything pending was applied above. Firings still
-  // deferred run now (bounded, ending unlocked if need be) — Stop() must
-  // not lose actions. A quiesce racing the shutdown keeps the gate closed
-  // only briefly (ExecuteQuiesced always reopens), so spin until flushed.
-  while (deferred_count_.load(std::memory_order_acquire) > 0) {
-    FlushDeferred();
-    if (deferred_count_.load(std::memory_order_acquire) > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    batch.clear();
   }
   // Wake any waiter.
   std::lock_guard<std::mutex> lock(drain_mu_);
@@ -452,6 +264,9 @@ Status Sequencer::ApplyRecovered(const SeqEvent& event) {
     return Status::FailedPrecondition(
         "ApplyRecovered requires a not-yet-started sequencer");
   }
+  if (!options_.sink) {
+    return Status::InvalidArgument("sequencer needs a firing sink");
+  }
   if (event.lane < watermark_.size()) {
     const uint64_t wm = watermark_[event.lane].load(std::memory_order_relaxed);
     // A crash between checkpoint publication and order-log truncation
@@ -473,29 +288,9 @@ Status Sequencer::ApplyRecovered(const SeqEvent& event) {
           static_cast<unsigned long long>(event.lane_seq)));
     }
   }
-  SequencerThreadScope scope;  // Action cascades apply inline.
-  SeqEvent ev = event;
-  SeqApplyProgress progress;
-  Result<int> fired = db_->ApplySequencedEvent(ev, &progress,
-                                               /*allow_unlocked=*/false);
-  if (fired.ok()) {
-    if (*fired > 0) {
-      firings_.fetch_add(static_cast<uint64_t>(*fired),
-                         std::memory_order_relaxed);
-    }
-  } else {
-    apply_errors_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (!progress.error.empty()) {
-    apply_errors_.fetch_add(1, std::memory_order_relaxed);
-  }
-  sequenced_.fetch_add(1, std::memory_order_relaxed);
+  Apply(event);
   published_.fetch_add(1, std::memory_order_relaxed);
   consumed_.fetch_add(1, std::memory_order_relaxed);
-  if (ev.lane < watermark_.size() &&
-      ev.lane_seq > watermark_[ev.lane].load(std::memory_order_relaxed)) {
-    watermark_[ev.lane].store(ev.lane_seq, std::memory_order_relaxed);
-  }
   // Deliberately NOT re-appended to the order log: the record is already
   // in it (recovery replays the log, it does not rewrite it).
   return Status::OK();
@@ -522,10 +317,9 @@ SequencerMetricsSnapshot Sequencer::Metrics() const {
   snap.enabled = true;
   snap.published = published_.load(std::memory_order_relaxed);
   snap.sequenced = sequenced_.load(std::memory_order_relaxed);
-  snap.firings = firings_.load(std::memory_order_relaxed);
+  snap.firings = firings();
   snap.dropped = dropped_.load(std::memory_order_relaxed);
   snap.apply_errors = apply_errors_.load(std::memory_order_relaxed);
-  snap.lock_timeouts = lock_timeouts_.load(std::memory_order_relaxed);
   snap.queue_depth =
       queue_.size() + backlog_.load(std::memory_order_relaxed);
   snap.queue_high_water = queue_.high_water();

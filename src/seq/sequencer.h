@@ -22,31 +22,24 @@ class Database;
 
 namespace seq {
 
-/// Publisher lane bound to the calling thread (shard workers call
-/// SetThreadPublisherLane(shard_index) once at startup). Threads that never
-/// register publish on the sequencer's last, mutex-serialized "external"
-/// lane. -1 = unregistered.
+/// Publisher lane bound to the calling thread (a shard worker sets its
+/// user lane once at startup and its firing lane while it runs class
+/// actions). Threads that never register publish on the sequencer's last,
+/// mutex-serialized "external" lane. -1 = unregistered.
 void SetThreadPublisherLane(int32_t lane);
 int32_t ThreadPublisherLane();
 
-/// True on the sequencer's merge thread (and inside ApplyRecovered).
-/// TriggerEngine::Post uses this to apply action-cascade events inline —
-/// a cascaded event is a synchronous child of the firing event, so its
-/// correct position in the total order IS the firing point, not the back
-/// of the queue.
-bool OnSequencerThread();
-
 /// The §9 class-scope event sequencer: a dedicated pipeline stage that
 /// merges every shard's class-scope postings into ONE deterministic total
-/// order and advances/fires the shared class automata from a single
-/// thread, replacing the old advance-inline-under-class_post_mu_ scheme.
+/// order and steps the shared class automata from a single thread. The
+/// merge thread decides firings but never acts on an object: it hands each
+/// firing to Options::sink, and the object's owning shard runs the action.
 ///
-/// Ordering contract (docs/SEQUENCER.md): per-lane FIFO (a lane is one
-/// shard worker, plus one external lane); events drained in one batch are
-/// merged in ascending (lane, lane_seq); the resulting apply order is THE
-/// authoritative order — it is what the order log records and what crash
-/// recovery reproduces. Watermarks (highest lane_seq applied per lane) are
-/// monotone.
+/// Ordering contract (docs/SEQUENCER.md): per-lane FIFO; events drained in
+/// one batch are merged in ascending (lane, lane_seq); the resulting apply
+/// order is THE authoritative order — it is what the order log records and
+/// what crash recovery reproduces. Watermarks (highest lane_seq applied per
+/// lane) are monotone.
 class Sequencer {
  public:
   /// What Publish does when the queue is full. kBlock bounds memory and
@@ -56,14 +49,14 @@ class Sequencer {
 
   struct Options {
     size_t queue_capacity = 4096;
-    /// Shard lanes [0, num_lanes-2] plus the external lane (num_lanes-1).
+    /// The runtime's layout for N shards is 2N + 1 lanes: shard i's user
+    /// events on lane i, the events its class actions post on lane N + i
+    /// (firing_lane), and the external lane last.
     uint32_t num_lanes = 2;
     OverflowPolicy overflow = OverflowPolicy::kBlock;
-    /// Bounded wait for the posting object's lock in the firing phase:
-    /// retry_limit attempts x retry_sleep_us, then fire without the lock
-    /// (same discipline as Database::AcquireEpilogueLock).
-    int lock_retry_limit = 1000;
-    int lock_retry_sleep_us = 50;
+    /// Required: receives every firing, in apply order, on the merge
+    /// thread (and on the caller of ApplyRecovered). Must not block.
+    FiringSink sink;
     /// Optional durable order log (seq/order_log.h; owned by the caller,
     /// must outlive the sequencer). Written *behind* each apply.
     wal::LogWriter* order_log = nullptr;
@@ -81,7 +74,8 @@ class Sequencer {
   Sequencer& operator=(const Sequencer&) = delete;
 
   /// Spawns the merge thread. Call after recovery (ApplyRecovered /
-  /// RestoreLaneCounters) and before the first Publish.
+  /// RestoreLaneCounters) and before the first Publish. kInvalidArgument
+  /// without a sink.
   Status Start();
 
   /// Closes the queue, applies everything still buffered, joins the merge
@@ -133,18 +127,21 @@ class Sequencer {
     std::vector<SeqEvent> held_;
   };
 
-  /// Blocks until every accepted publish has been applied — automaton
-  /// steps AND firings, including firings deferred past a quiesce window —
-  /// and the queue is empty (the runtime's drain barrier).
+  /// Blocks until every accepted publish has been applied: automata
+  /// stepped and firings handed to the sink (not run — the sink's owner
+  /// runs them).
   void WaitDrained();
 
-  /// Runs `fn` with publishers gated out and the pipeline fully drained —
-  /// the (de)activation barrier: class-slot structure may be mutated inside
-  /// `fn` with no publisher or merge-side reader racing. Reentrant-safe
-  /// from the sequencer thread itself (an action (de)activating a class
-  /// trigger), where the drain wait is skipped — the merge thread is the
-  /// caller, so slot memory is already exclusively ours.
+  /// Runs `fn` with publishers gated out and the merge thread idle — the
+  /// (de)activation barrier: class-slot structure may be mutated inside
+  /// `fn` with no publisher or merge-side reader racing.
   Status ExecuteQuiesced(const std::function<Status()>& fn);
+
+  /// Counts a firing whose action failed for good on its owner (one of
+  /// the apply_errors).
+  void CountFiringError() {
+    apply_errors_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   // --- Crash recovery (all pre-Start) ------------------------------------
 
@@ -155,12 +152,12 @@ class Sequencer {
   void RestoreLaneCounters(const std::vector<uint64_t>& last_assigned);
 
   /// Re-applies one recovered order-log record on the caller thread, in
-  /// logged order: advances automata, fires actions, raises the lane
-  /// watermark. Does NOT re-append to the order log. A record at or below
-  /// the watermark is skipped (already applied). One past watermark + 1 is
-  /// kOutOfRange and not applied: the log lost a record of that lane (an
-  /// event the order-record codec could not hold), so the lane's events
-  /// from the hole on are left to shard-WAL replay.
+  /// logged order: advances automata, hands firings to the sink, raises
+  /// the lane watermark. Does NOT re-append to the order log. A record at
+  /// or below the watermark is skipped (already applied). One past
+  /// watermark + 1 is kOutOfRange and not applied: the log lost a record of
+  /// that lane (an event the order-record codec could not hold), so the
+  /// lane's events from the hole on are left to shard-WAL replay.
   Status ApplyRecovered(const SeqEvent& event);
 
   /// Enters replay-dedup mode: published events whose (lane, lane_seq) is
@@ -178,33 +175,26 @@ class Sequencer {
 
   uint32_t num_lanes() const { return options_.num_lanes; }
   uint32_t external_lane() const { return options_.num_lanes - 1; }
-  uint64_t firings() const { return firings_.load(std::memory_order_relaxed); }
+  /// Lane for the events posted by class actions shard `shard` runs.
+  uint32_t firing_lane(size_t shard) const {
+    return external_lane() / 2 + static_cast<uint32_t>(shard);
+  }
+  /// Firings decided so far. Each is in the sink before it is counted.
+  uint64_t firings() const { return firings_.load(std::memory_order_acquire); }
 
  private:
-  /// A firing postponed past a quiesce window: the automaton step already
-  /// latched (progress.advanced), only the action/disarm transaction — the
-  /// part that needs the posting object's lock — remains.
-  struct DeferredFire {
-    SeqEvent event;
-    SeqApplyProgress progress;
-  };
-
   void Run();
-  /// Applies one merged event with bounded lock retries; updates counters,
-  /// watermark, and the order log.
-  void ApplyOne(SeqEvent& event);
-  /// Runs the firing phase of every deferred event (merge thread, gate
-  /// open) and wakes drain waiters.
-  void FlushDeferred();
+  /// Applies one merged event (unless replay dedup drops it) and appends
+  /// it to the order log.
+  void ApplyOne(const SeqEvent& event);
+  /// Steps the automata for `event`, hands its firings to the sink, and
+  /// advances the counters and the lane watermark.
+  void Apply(const SeqEvent& event);
   bool Enqueue(SeqEvent event);
   void NoteConsumed();
   void EnterPublish();
   void ExitPublish();
   bool Drained() const;
-  /// Quiescer-side barrier: merge thread idle (consumed == published) but
-  /// possibly holding deferred firings — unlike WaitDrained, this cannot
-  /// wait for those, because they need the gate the quiescer holds closed.
-  void WaitMergeIdle();
 
   Database* db_;
   Options options_;
@@ -225,21 +215,7 @@ class Sequencer {
   std::vector<std::atomic<uint64_t>> lane_next_;
   std::mutex external_mu_;
 
-  /// Merge-thread-owned backlog carried across drains, and the spill
-  /// buffer filled when the queue is drained mid-retry to free blocked
-  /// publishers.
-  std::vector<SeqEvent> pending_;
-  std::vector<SeqEvent> spill_;
   std::string log_payload_;  ///< Order-record encode scratch.
-
-  /// Firings deferred while a quiesce is pending (merge-thread-owned);
-  /// deferred_count_ is the cross-thread view for the drain barrier.
-  std::vector<DeferredFire> deferred_;
-  std::atomic<uint64_t> deferred_count_{0};
-  /// True between gate close and reopen of a non-merge-thread quiesce:
-  /// tells ApplyOne that lock waits cannot succeed (the holders are parked
-  /// at the closed gate) and firings must be deferred instead.
-  std::atomic<bool> quiescing_{false};
 
   std::atomic<bool> replay_dedup_{false};
   std::vector<std::atomic<uint64_t>> watermark_;
@@ -250,9 +226,8 @@ class Sequencer {
   std::atomic<uint64_t> firings_{0};
   std::atomic<uint64_t> dropped_{0};
   std::atomic<uint64_t> apply_errors_{0};
-  std::atomic<uint64_t> lock_timeouts_{0};
   std::atomic<uint64_t> replay_deduped_{0};
-  std::atomic<uint64_t> backlog_{0};  ///< pending_.size(), for metrics.
+  std::atomic<uint64_t> backlog_{0};  ///< Unapplied events of the batch.
 
   std::atomic<bool> log_failed_{false};
 

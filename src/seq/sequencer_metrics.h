@@ -17,8 +17,9 @@ struct SequencerMetricsSnapshot {
   uint64_t sequenced = 0;      ///< Events merged + applied in total order.
   uint64_t firings = 0;        ///< Class-scope trigger firings.
   uint64_t dropped = 0;        ///< Publishes shed by kDropNewest.
-  uint64_t apply_errors = 0;   ///< Firing-phase errors (recorded, skipped).
-  uint64_t lock_timeouts = 0;  ///< Firing proceeded unlocked past the bound.
+  /// Order records the codec could not hold, and firings whose action
+  /// failed for good on the owner shard (recorded, skipped).
+  uint64_t apply_errors = 0;
   uint64_t queue_depth = 0;    ///< Sampled queue + pending backlog.
   uint64_t queue_high_water = 0;
   /// published - sequenced at sample time: how far the merge runs behind

@@ -6,7 +6,6 @@
 #include "common/strutil.h"
 #include "mask/mask_eval.h"
 #include "ode/database.h"
-#include "seq/seq_event.h"
 #include "seq/sequencer.h"
 
 namespace ode {
@@ -143,14 +142,7 @@ Result<bool> TriggerEngine::AdvanceSlot(ActiveTrigger* slot,
   Result<SymbolId> base_sym =
       program.event.alphabet.Classify(posting->event(), eval_mask, &group);
   if (!base_sym.ok()) return base_sym.status();
-  return AdvanceClassified(slot, program, txn, obj, oid, posting, *base_sym,
-                           group, undo_logged);
-}
 
-Result<bool> TriggerEngine::AdvanceClassified(
-    ActiveTrigger* slot, const TriggerProgram& program, Transaction* txn,
-    Object* obj, Oid oid, Posting* posting, int32_t base_sym, int group,
-    bool undo_logged) {
   // §9 argument capture: remember the latest occurrence of each referenced
   // logical event for the action's Witness() lookups.
   posting->Capture(&slot->witnesses, program.event.alphabet.num_groups(),
@@ -169,7 +161,7 @@ Result<bool> TriggerEngine::AdvanceClassified(
     slot->gate_states.resize(gates.size(), 0);
   }
   for (size_t g = 0; g < gates.size(); ++g) {
-    SymbolId ext = program.event.ExtendSymbol(base_sym, gate_bits);
+    SymbolId ext = program.event.ExtendSymbol(*base_sym, gate_bits);
     int32_t gs = gates[g].dfa.Step(slot->gate_states[g], ext);
     slot->gate_states[g] = gs;
     if (gates[g].dfa.accepting(gs)) {
@@ -182,7 +174,7 @@ Result<bool> TriggerEngine::AdvanceClassified(
     }
   }
 
-  SymbolId ext_sym = program.event.ExtendSymbol(base_sym, gate_bits);
+  SymbolId ext_sym = program.event.ExtendSymbol(*base_sym, gate_bits);
   int32_t new_state = dfa.Step(old_state, ext_sym);
   if (undo_logged && program.view == HistoryView::kCommitted &&
       txn != nullptr &&
@@ -240,6 +232,14 @@ Status TriggerEngine::FireSlot(ActiveTrigger* slot,
     if (!class_scope) db_->ReleaseTriggerTimers(oid, program);
   }
 
+  return RunAction(program, txn, oid, event, slot->params, slot->witnesses);
+}
+
+Status TriggerEngine::RunAction(const TriggerProgram& program,
+                                Transaction* txn, Oid oid,
+                                const PostedEvent& event,
+                                const std::map<std::string, Value>& params,
+                                const WitnessArray& witnesses) {
   if (program.spec.action.empty()) return Status::OK();
   const TriggerAction* action = db_->FindAction(program.spec.action);
   if (action == nullptr) {
@@ -253,18 +253,15 @@ Status TriggerEngine::FireSlot(ActiveTrigger* slot,
   ctx.self = oid;
   ctx.trigger_name = program.spec.name;
   ctx.event = &event;
-  ctx.trigger_params = &slot->params;
-  ctx.witnesses = &slot->witnesses;
+  ctx.trigger_params = &params;
+  ctx.witnesses = &witnesses;
   Status s = (*action)(ctx);
-  if (!s.ok()) {
-    if (s.code() == StatusCode::kAborted) {
-      return Status::Aborted(StrFormat(
-          "trigger '%s' aborted the transaction: %s",
-          program.spec.name.c_str(), s.message().c_str()));
-    }
-    return s;
+  if (s.code() == StatusCode::kAborted) {
+    return Status::Aborted(StrFormat(
+        "trigger '%s' aborted the transaction: %s",
+        program.spec.name.c_str(), s.message().c_str()));
   }
-  return Status::OK();
+  return s;
 }
 
 namespace {
@@ -339,28 +336,7 @@ Status TriggerEngine::FireGroupMember(GroupSlot* slot,
     }
   }
 
-  if (member.spec.action.empty()) return Status::OK();
-  const TriggerAction* action = db_->FindAction(member.spec.action);
-  if (action == nullptr) {
-    return Status::NotFound(StrFormat(
-        "trigger '%s' names unregistered action '%s'",
-        member.spec.name.c_str(), member.spec.action.c_str()));
-  }
-  ActionContext ctx;
-  ctx.db = db_;
-  ctx.txn = txn != nullptr ? txn->id() : 0;
-  ctx.self = oid;
-  ctx.trigger_name = member.spec.name;
-  ctx.event = &event;
-  ctx.trigger_params = &EmptyParams();
-  ctx.witnesses = &slot->witnesses;
-  Status s = (*action)(ctx);
-  if (!s.ok() && s.code() == StatusCode::kAborted) {
-    return Status::Aborted(StrFormat(
-        "trigger '%s' aborted the transaction: %s",
-        member.spec.name.c_str(), s.message().c_str()));
-  }
-  return s;
+  return RunAction(member, txn, oid, event, EmptyParams(), slot->witnesses);
 }
 
 Result<int> TriggerEngine::Post(Transaction* txn, Oid oid, PostedEvent event) {
@@ -413,12 +389,10 @@ Result<int> TriggerEngine::Post(Transaction* txn, Oid oid, PostedEvent event) {
   // the class. With a sequencer attached (the runtime's ingestion path),
   // the shard does only the per-event work that needs the posting object —
   // mask classification, evaluated here while the poster still owns the
-  // object — and publishes a SeqEvent; the dedicated sequencer thread owns
-  // all slot advancement and firing in its deterministic merge order
-  // (docs/SEQUENCER.md). Without a sequencer, and for action cascades on
-  // the sequencer thread itself (a cascaded event is a synchronous child
-  // of the firing event, so its place in the total order IS the firing
-  // point), the legacy inline path advances under class_post_mu_:
+  // object — and publishes a SeqEvent; the sequencer's merge thread steps
+  // the slots in its deterministic merge order and hands each firing back
+  // to the object's owning shard (docs/SEQUENCER.md). Without a sequencer
+  // (standalone), the inline path advances and fires under class_post_mu_:
   // recursive, so actions that post re-entrantly on this thread do not
   // self-deadlock; lock-manager acquires inside actions never block
   // (kWouldBlock), so no cycle.
@@ -426,8 +400,7 @@ Result<int> TriggerEngine::Post(Transaction* txn, Oid oid, PostedEvent event) {
   std::vector<ActiveTrigger>* class_slots = db_->ClassSlots(class_id);
   seq::Sequencer* sequencer =
       class_slots != nullptr ? db_->sequencer() : nullptr;
-  if (class_slots != nullptr && sequencer != nullptr &&
-      !seq::OnSequencerThread()) {
+  if (sequencer != nullptr) {
     // Publish-side critical section: the scope keeps (de)activation's
     // quiesce barrier out while slot params are being read.
     seq::Sequencer::PublishScope publish_scope(sequencer);
@@ -465,6 +438,7 @@ Result<int> TriggerEngine::Post(Transaction* txn, Oid oid, PostedEvent event) {
     // with the order log's watermarks (docs/SEQUENCER.md).
     if (!sev.syms.empty()) {
       sev.event = event;
+      sev.depth = depth_;
       sequencer->Publish(std::move(sev));
     }
   } else if (class_slots != nullptr) {
@@ -539,124 +513,62 @@ Result<int> TriggerEngine::Post(Transaction* txn, Oid oid, PostedEvent event) {
   return total_fired;
 }
 
-Result<int> TriggerEngine::ApplySequenced(const seq::SeqEvent& sev,
-                                          seq::SeqApplyProgress* progress,
-                                          bool allow_unlocked) {
+int TriggerEngine::ApplySequenced(const seq::SeqEvent& sev,
+                                  const seq::FiringSink& sink) {
   const RegisteredClass* cls = db_->classes().FindById(sev.class_id);
-  if (cls == nullptr) {
-    return Status::NotFound("sequenced event for unknown class");
-  }
   std::vector<ActiveTrigger>* slots = db_->ClassSlots(sev.class_id);
-  if (slots == nullptr) return 0;
+  if (cls == nullptr || slots == nullptr) return 0;
 
-  auto find_slot = [&](int32_t trigger_idx) -> ActiveTrigger* {
-    for (ActiveTrigger& s : *slots) {
-      if (s.trigger_idx == trigger_idx) return &s;
-    }
-    return nullptr;
-  };
-  auto valid_idx = [&](int32_t idx) {
-    return idx >= 0 && static_cast<size_t>(idx) < cls->triggers.size();
-  };
-
-  // Gates and composite masks read database state (attributes, host fns),
-  // which requires the firing transaction; everything else steps automata
-  // from the publish-time symbols without touching shared database state.
-  bool needs_db = false;
-  for (const seq::SeqSym& sym : sev.syms) {
-    if (!valid_idx(sym.trigger_idx)) continue;
-    const TriggerProgram& p = cls->triggers[sym.trigger_idx];
-    if (!p.event.gates.empty() || !p.event.composite_masks.empty()) {
-      needs_db = true;
-    }
-  }
-
-  // Advancement runs once per sequenced event (latched below), so this
-  // event is copied at most once for all the slots that witness it.
+  // Stepped once per sequenced event, so the event is copied at most once
+  // for all the slots that witness it.
   Posting posting(sev.event, db_->options().capture_witnesses);
-  if (!needs_db && !progress->advanced) {
-    // Fast path: advance without any transaction or lock. The latch is set
-    // after the loop — nothing below can fail, and DFA steps must never
-    // rerun on a firing-phase retry.
-    for (const seq::SeqSym& sym : sev.syms) {
-      if (!valid_idx(sym.trigger_idx)) continue;
-      ActiveTrigger* slot = find_slot(sym.trigger_idx);
-      if (slot == nullptr || !slot->active) continue;
-      const TriggerProgram& program = cls->triggers[sym.trigger_idx];
-      const Alphabet& alphabet = program.event.alphabet;
-      posting.Capture(&slot->witnesses, alphabet.num_groups(),
-                      alphabet.GroupOfSymbol(sym.symbol));
-      const Dfa& dfa = program.ActiveDfa();
-      SymbolId ext = program.event.ExtendSymbol(sym.symbol, 0);
-      slot->state = dfa.Step(slot->state, ext);
-      // No composite masks on this path (needs_db would be true), so
-      // acceptance is occurrence.
-      if (dfa.accepting(slot->state)) {
-        progress->pending_fire.push_back(sym.trigger_idx);
-      }
-    }
-    progress->advanced = true;
-  }
-  if (progress->advanced && progress->pending_fire.empty()) return 0;
-
-  // Firing (and gate/composite-bearing advancement) runs in a system
-  // transaction that first acquires the posting object — the same lock
-  // shard transactions take — so a class trigger's action is serialized
-  // with the object's own shard. TouchObject comes FIRST: its
-  // kWouldBlock/kDeadlock bounce out before any non-idempotent mutation,
-  // making the whole call safely retryable until `progress->advanced`.
   int fired = 0;
-  Status txn_status = db_->RunSystemTxn([&](Transaction* sys) -> Status {
-    Object* obj = nullptr;
-    if (db_->Exists(sev.oid)) {
-      if (!allow_unlocked) {
-        ODE_RETURN_IF_ERROR(
-            db_->TouchObject(sys, sev.oid, LockMode::kExclusive));
-      }
-      Result<Object*> got = db_->GetObject(sev.oid);
-      if (got.ok()) obj = *got;
+  for (const seq::SeqSym& sym : sev.syms) {
+    if (sym.trigger_idx < 0 ||
+        static_cast<size_t>(sym.trigger_idx) >= cls->triggers.size()) {
+      continue;
     }
-    if (!progress->advanced) {
-      // Latch first: a mask error below is recorded and skipped, never
-      // retried (retrying would double-step the automata).
-      progress->advanced = true;
-      for (const seq::SeqSym& sym : sev.syms) {
-        if (!valid_idx(sym.trigger_idx)) continue;
-        ActiveTrigger* slot = find_slot(sym.trigger_idx);
-        if (slot == nullptr || !slot->active) continue;
-        const TriggerProgram& program = cls->triggers[sym.trigger_idx];
-        Result<bool> occurred = AdvanceClassified(
-            slot, program, sys, obj, sev.oid, &posting, sym.symbol,
-            program.event.alphabet.GroupOfSymbol(sym.symbol),
-            /*undo_logged=*/false);
-        if (!occurred.ok()) {
-          if (progress->error.empty()) {
-            progress->error = occurred.status().message();
-          }
-          continue;
-        }
-        if (*occurred) progress->pending_fire.push_back(sym.trigger_idx);
-      }
+    ActiveTrigger* slot = nullptr;
+    for (ActiveTrigger& s : *slots) {
+      if (s.trigger_idx == sym.trigger_idx) slot = &s;
     }
-    for (int32_t idx : progress->pending_fire) {
-      if (!valid_idx(idx)) continue;
-      ActiveTrigger* slot = find_slot(idx);
-      if (slot == nullptr) continue;
-      const TriggerProgram& program = cls->triggers[idx];
-      ++fired;
-      Status s = FireSlot(slot, program, sys, obj, sev.oid, sev.event,
-                          /*class_scope=*/true, sev.class_id);
-      // Action failures — including demands to abort, which cannot reach
-      // the long-committed posting transaction — are recorded and never
-      // retried (fire counters must not drift).
-      if (!s.ok() && progress->error.empty()) progress->error = s.message();
-    }
-    progress->pending_fire.clear();
-    return Status::OK();
-  });
-  if (!txn_status.ok()) return txn_status;
+    if (slot == nullptr || !slot->active) continue;
+    const TriggerProgram& program = cls->triggers[sym.trigger_idx];
+    const Alphabet& alphabet = program.event.alphabet;
+    posting.Capture(&slot->witnesses, alphabet.num_groups(),
+                    alphabet.GroupOfSymbol(sym.symbol));
+    const Dfa& dfa = program.ActiveDfa();
+    slot->state =
+        dfa.Step(slot->state, program.event.ExtendSymbol(sym.symbol, 0));
+    // Class-scope activation admits no gate or composite mask, so
+    // acceptance is occurrence.
+    if (!dfa.accepting(slot->state)) continue;
+    ++fired;
+    db_->BumpClassTriggersFired(sev.class_id, program.spec.name);
+    // An ordinary trigger is automatically deactivated the moment it
+    // fires (§2).
+    if (!program.spec.perpetual) slot->active = false;
+    if (program.spec.action.empty()) continue;
+    sink(seq::Firing{sev.class_id, sym.trigger_idx, sev.oid, sev.event,
+                     slot->witnesses, slot->params, sev.depth});
+  }
   if (fired > 0) db_->SyncClassActiveMask(sev.class_id);
   return fired;
+}
+
+Status TriggerEngine::RunFiringAction(Transaction* txn,
+                                      const seq::Firing& firing) {
+  const RegisteredClass* cls = db_->classes().FindById(firing.class_id);
+  if (cls == nullptr || firing.trigger_idx < 0 ||
+      static_cast<size_t>(firing.trigger_idx) >= cls->triggers.size()) {
+    return Status::NotFound("class-scope firing of an unknown trigger");
+  }
+  const int outer = depth_;
+  depth_ = firing.depth;
+  Status s = RunAction(cls->triggers[firing.trigger_idx], txn, firing.oid,
+                       firing.event, firing.params, firing.witnesses);
+  depth_ = outer;
+  return s;
 }
 
 Result<int> TriggerEngine::PostSimple(Transaction* txn, Oid oid,

@@ -6,16 +6,12 @@
 #include "common/result.h"
 #include "event/posted_event.h"
 #include "ode/object.h"
+#include "seq/seq_event.h"
 #include "txn/transaction.h"
 
 namespace ode {
 
 class Database;
-
-namespace seq {
-struct SeqEvent;
-struct SeqApplyProgress;
-}  // namespace seq
 
 /// The event-posting pipeline of §5:
 ///
@@ -53,16 +49,17 @@ class TriggerEngine {
   Result<int> PostTime(Transaction* txn, Oid oid, const std::string& time_key,
                        TimeMs fire_time);
 
-  /// Applies one sequenced class-scope event on the sequencer thread: steps
-  /// the class automata using the publish-time classification, then fires
-  /// occurred triggers from a system transaction that first acquires the
-  /// posting object's lock (unless `allow_unlocked`, the bounded-wait
-  /// fallback). kWouldBlock/kDeadlock are retryable: `progress` latches the
-  /// non-idempotent advancement so a retry redoes only the firing. Returns
-  /// the number of triggers fired.
-  Result<int> ApplySequenced(const seq::SeqEvent& event,
-                             seq::SeqApplyProgress* progress,
-                             bool allow_unlocked);
+  /// Steps the class automata for one sequenced class-scope event from the
+  /// classification its publisher computed (the sequencer's merge thread).
+  /// A slot that accepts is counted, disarmed if ordinary and, when its
+  /// trigger has an action, handed to `sink`. Opens no transaction, takes
+  /// no lock and reads no object: class-scope activation admits no mask
+  /// that would need one. Returns the number of firings.
+  int ApplySequenced(const seq::SeqEvent& event, const seq::FiringSink& sink);
+
+  /// Runs the action of a firing ApplySequenced decided, under `txn`, one
+  /// posting level below the event that fired it.
+  Status RunFiringAction(Transaction* txn, const seq::Firing& firing);
 
   /// Current recursive posting depth on the calling thread. Depth is
   /// thread-local: each shard worker's action cascade is its own call
@@ -81,16 +78,6 @@ class TriggerEngine {
   Result<bool> AdvanceSlot(ActiveTrigger* slot, const TriggerProgram& program,
                            Transaction* txn, Object* obj, Oid oid,
                            Posting* posting, bool undo_logged);
-
-  /// AdvanceSlot minus the classification: captures the witness for the
-  /// matched alphabet `group` and steps gates and the main DFA from an
-  /// already-classified base symbol (the sequencer's apply path, where
-  /// classification happened shard-side at publish time).
-  Result<bool> AdvanceClassified(ActiveTrigger* slot,
-                                 const TriggerProgram& program,
-                                 Transaction* txn, Object* obj, Oid oid,
-                                 Posting* posting, int32_t base_sym,
-                                 int group, bool undo_logged);
 
   /// Counts the firing (on `obj`, or on the class when `class_scope`),
   /// deactivates an ordinary trigger and runs the action (§2/§5).
@@ -113,6 +100,12 @@ class TriggerEngine {
                          size_t bit, Transaction* txn, Object* obj,
                          const PostedEvent& event,
                          const RegisteredClass* cls);
+
+  /// Runs `program`'s action, if it names one, with `self` = `oid`.
+  Status RunAction(const TriggerProgram& program, Transaction* txn, Oid oid,
+                   const PostedEvent& event,
+                   const std::map<std::string, Value>& params,
+                   const WitnessArray& witnesses);
 
   Database* db_;
   static thread_local int depth_;

@@ -291,6 +291,33 @@ TEST(ClassTriggerTest, TimeEventsRejectedAtClassScope) {
             StatusCode::kUnimplemented);
 }
 
+// Composite masks read database state when the automaton accepts; at
+// class scope the sequencer steps automata without reading any, so a
+// trigger with a root composite mask or a gated subevent is refused.
+TEST(ClassTriggerTest, CompositeMasksRejectedAtClassScope) {
+  ClassDef def = AccountClass();
+  def.AddTrigger(
+      "Root(): perpetual (after deposit | after withdraw) && balance > 5 "
+      "==> count");
+  def.AddTrigger(
+      "Gated(): perpetual relative((after deposit | after withdraw) && "
+      "balance > 5, after withdraw) ==> count");
+  Database db;
+  ODE_ASSERT_OK(db.RegisterAction(
+      "count", [](const ActionContext&) -> Status { return Status::OK(); }));
+  ODE_ASSERT_OK(db.RegisterClass(std::move(def)).status());
+  EXPECT_EQ(db.ActivateClassTrigger("account", "Root").code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(db.ActivateClassTrigger("account", "Gated").code(),
+            StatusCode::kUnimplemented);
+  // Per object, both stay available.
+  TxnId t = db.Begin().value();
+  Oid a = db.New(t, "account").value();
+  ODE_EXPECT_OK(db.ActivateTrigger(t, a, "Root"));
+  ODE_EXPECT_OK(db.ActivateTrigger(t, a, "Gated"));
+  ODE_ASSERT_OK(db.Commit(t));
+}
+
 TEST(ClassTriggerTest, MaskSeesPostingObjectState) {
   // The mask's object-state references resolve against whichever instance
   // posted the event.

@@ -699,13 +699,6 @@ TEST(IngestRuntimeTest, ClassTriggerUnderMpscLoad) {
   opts.num_shards = 4;
   opts.max_batch = 16;
   opts.queue_capacity = 256;
-  // Every worker contends on the shared class slot, so a slow box (TSan on
-  // few cores) can make one event lose the deadlock-abort lottery four
-  // times in a row; the default budget of 3 retries then dead-letters it
-  // and the exact-count assertions below go off by one. The exactness is
-  // what this test is about — buy enough retries that a loser always
-  // eventually wins (backoff doubles, so 8 retries ≈ 12ms of yielding).
-  opts.error_policy.max_retries = 8;
   IngestRuntime rt(&db, opts);
   ODE_ASSERT_OK(rt.Start());
   std::vector<std::thread> producers;

@@ -2,7 +2,9 @@
 // evaluation as its own pipeline stage. Covers the ordering/watermark
 // contract, the drain barrier, quiesced (de)activation under load,
 // bounded-queue backpressure, the durable order log (write-behind +
-// recovery parity + replay dedup), and the metrics surface.
+// recovery parity + replay dedup), the metrics surface, and that the
+// merge thread only decides firings (the test thread runs them, as a
+// shard would).
 #include "seq/sequencer.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,6 +74,46 @@ void PostAdds(Database* db, Oid oid, int n) {
   }
 }
 
+/// The sequencer's firing sink. In the runtime each firing goes to the
+/// shard that owns its object; here the test thread runs them, between
+/// drains.
+class FiringQueue {
+ public:
+  explicit FiringQueue(Database* db) : db_(db) {}
+
+  seq::FiringSink Sink() {
+    return [this](seq::Firing firing) {
+      std::lock_guard<std::mutex> lock(mu_);
+      queued_.push_back(std::move(firing));
+    };
+  }
+
+  /// Runs every queued firing on the calling thread; returns how many ran.
+  size_t Run() {
+    std::vector<seq::Firing> firings;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      firings.swap(queued_);
+    }
+    for (const seq::Firing& firing : firings) {
+      ODE_EXPECT_OK(db_->RunClassFiring(firing));
+    }
+    return firings.size();
+  }
+
+  /// Drains the sequencer and runs what it decided until nothing is left.
+  void Settle(seq::Sequencer* sequencer) {
+    do {
+      sequencer->WaitDrained();
+    } while (Run() > 0);
+  }
+
+ private:
+  Database* db_;
+  std::mutex mu_;
+  std::vector<seq::Firing> queued_;
+};
+
 std::string TempDir(const char* tag) {
   std::string tmpl = std::string("/tmp/ode_seq_test_") + tag + "_XXXXXX";
   std::vector<char> buf(tmpl.begin(), tmpl.end());
@@ -85,7 +128,9 @@ TEST(SequencerTest, ClassTriggerFiresThroughSequencer) {
   Oid oid = MakeObject(&db);
   ODE_ASSERT_OK(db.ActivateClassTrigger("scell", "CT"));
 
+  FiringQueue firings(&db);
   seq::Sequencer::Options options;
+  options.sink = firings.Sink();
   options.num_lanes = 2;  // One "shard" lane + the external lane.
   seq::Sequencer sequencer(&db, options);
   db.AttachSequencer(&sequencer);
@@ -93,10 +138,10 @@ TEST(SequencerTest, ClassTriggerFiresThroughSequencer) {
 
   constexpr int kAdds = 30;
   PostAdds(&db, oid, kAdds);
-  sequencer.WaitDrained();
+  firings.Settle(&sequencer);
 
   // The merged stream saw kAdds `add` symbols; every third fires. The
-  // action runs asynchronously but WaitDrained is an apply barrier.
+  // actions run after the merge, on the thread that settles the firings.
   EXPECT_EQ(db.ClassFireCount("scell", "CT"), kAdds / 3);
   EXPECT_EQ(db.PeekAttr(oid, "touches").value().AsInt().value(), kAdds / 3);
 
@@ -115,6 +160,39 @@ TEST(SequencerTest, ClassTriggerFiresThroughSequencer) {
   db.DetachSequencer();
 }
 
+// The merge thread decides a firing without touching its object: it never
+// waits for the object's lock and never writes the object. The test thread
+// holds X's exclusive lock in an open transaction while it posts the three
+// adds that fire CT on X.
+TEST(SequencerTest, MergeThreadNeverWaitsOnObjectLock) {
+  Database db;
+  SetUpClass(&db);
+  Oid x = MakeObject(&db);
+  ODE_ASSERT_OK(db.ActivateClassTrigger("scell", "CT"));
+
+  FiringQueue firings(&db);
+  seq::Sequencer::Options options;
+  options.sink = firings.Sink();
+  options.num_lanes = 2;
+  seq::Sequencer sequencer(&db, options);
+  db.AttachSequencer(&sequencer);
+  ODE_ASSERT_OK(sequencer.Start());
+
+  TxnId t = db.Begin().value();
+  for (int i = 0; i < 3; ++i) {
+    ODE_ASSERT_OK(db.Call(t, x, "add", {Value(1)}).status());
+  }
+  sequencer.WaitDrained();  // Returns while `t` still holds X.
+  EXPECT_EQ(db.ClassFireCount("scell", "CT"), 1u);
+  EXPECT_EQ(db.PeekAttr(x, "touches").value().AsInt().value(), 0);
+  ODE_ASSERT_OK(db.Commit(t));
+  EXPECT_EQ(firings.Run(), 1u);
+  EXPECT_EQ(db.PeekAttr(x, "touches").value().AsInt().value(), 1);
+
+  sequencer.Stop();
+  db.DetachSequencer();
+}
+
 TEST(SequencerTest, LaneWatermarksTrackPerLanePublishes) {
   Database db;
   SetUpClass(&db);
@@ -122,7 +200,9 @@ TEST(SequencerTest, LaneWatermarksTrackPerLanePublishes) {
   Oid b = MakeObject(&db);
   ODE_ASSERT_OK(db.ActivateClassTrigger("scell", "CT"));
 
+  FiringQueue firings(&db);
   seq::Sequencer::Options options;
+  options.sink = firings.Sink();
   options.num_lanes = 3;  // Two registered lanes + external.
   seq::Sequencer sequencer(&db, options);
   db.AttachSequencer(&sequencer);
@@ -139,7 +219,7 @@ TEST(SequencerTest, LaneWatermarksTrackPerLanePublishes) {
   });
   t0.join();
   t1.join();
-  sequencer.WaitDrained();
+  firings.Settle(&sequencer);
 
   EXPECT_EQ(db.ClassFireCount("scell", "CT"), 2 * kPerLane / 3);
 
@@ -170,7 +250,9 @@ TEST(SequencerTest, TinyQueueBackpressureLosesNothing) {
   Oid oid = MakeObject(&db);
   ODE_ASSERT_OK(db.ActivateClassTrigger("scell", "CT"));
 
+  FiringQueue firings(&db);
   seq::Sequencer::Options options;
+  options.sink = firings.Sink();
   options.num_lanes = 2;
   options.queue_capacity = 4;  // Publishers must block, never lose.
   seq::Sequencer sequencer(&db, options);
@@ -179,7 +261,7 @@ TEST(SequencerTest, TinyQueueBackpressureLosesNothing) {
 
   constexpr int kAdds = 60;
   PostAdds(&db, oid, kAdds);
-  sequencer.WaitDrained();
+  firings.Settle(&sequencer);
 
   EXPECT_EQ(db.ClassFireCount("scell", "CT"), kAdds / 3);
   seq::SequencerMetricsSnapshot m = sequencer.Metrics();
@@ -196,7 +278,9 @@ TEST(SequencerTest, ActivationQuiescesUnderConcurrentPosting) {
   SetUpClass(&db);
   Oid oid = MakeObject(&db);
 
+  FiringQueue firings(&db);
   seq::Sequencer::Options options;
+  options.sink = firings.Sink();
   options.num_lanes = 2;
   seq::Sequencer sequencer(&db, options);
   db.AttachSequencer(&sequencer);
@@ -220,7 +304,7 @@ TEST(SequencerTest, ActivationQuiescesUnderConcurrentPosting) {
   ODE_ASSERT_OK(db.ActivateClassTrigger("scell", "CT"));
   stop.store(true);
   poster.join();
-  sequencer.WaitDrained();
+  firings.Settle(&sequencer);
 
   EXPECT_TRUE(db.ClassTriggerActive("scell", "CT").value());
   seq::SequencerMetricsSnapshot m = sequencer.Metrics();
@@ -250,14 +334,16 @@ TEST(SequencerTest, OrderLogRecoveryReproducesFirings) {
     wal_options.fsync = wal::FsyncPolicy::kAlways;
     ODE_ASSERT_OK(writer.Open(path, 0, wal_options));
 
-    seq::Sequencer::Options options;
+    FiringQueue firings(&db);
+  seq::Sequencer::Options options;
+  options.sink = firings.Sink();
     options.num_lanes = 2;
     options.order_log = &writer;
     seq::Sequencer sequencer(&db, options);
     db.AttachSequencer(&sequencer);
     ODE_ASSERT_OK(sequencer.Start());
     PostAdds(&db, oid, kAdds);
-    sequencer.WaitDrained();
+    firings.Settle(&sequencer);
     original_fires = db.ClassFireCount("scell", "CT");
     original_sequenced = sequencer.Metrics().sequenced;
     sequencer.Stop();
@@ -287,7 +373,9 @@ TEST(SequencerTest, OrderLogRecoveryReproducesFirings) {
     (void)oid;
     ODE_ASSERT_OK(db.ActivateClassTrigger("scell", "CT"));
 
-    seq::Sequencer::Options options;
+    FiringQueue firings(&db);
+  seq::Sequencer::Options options;
+  options.sink = firings.Sink();
     options.num_lanes = 2;
     seq::Sequencer sequencer(&db, options);
     db.AttachSequencer(&sequencer);
@@ -318,7 +406,7 @@ TEST(SequencerTest, OrderLogRecoveryReproducesFirings) {
         EXPECT_TRUE(sequencer.Publish(std::move(copy)));
       }
     }
-    sequencer.WaitDrained();
+    firings.Settle(&sequencer);
     sequencer.FinishReplay();
     m = sequencer.Metrics();
     EXPECT_EQ(m.replay_deduped, original_sequenced);
@@ -350,14 +438,16 @@ TEST(SequencerTest, OrderLogFollowsIntervalFsyncPolicy) {
   wal_options.fsync_every_n = 64;
   ODE_ASSERT_OK(writer.Open(seq::OrderLogPath(dir), 0, wal_options));
 
+  FiringQueue firings(&db);
   seq::Sequencer::Options options;
+  options.sink = firings.Sink();
   options.num_lanes = 2;
   options.order_log = &writer;
   seq::Sequencer sequencer(&db, options);
   db.AttachSequencer(&sequencer);
   ODE_ASSERT_OK(sequencer.Start());
   PostAdds(&db, oid, 3);
-  sequencer.WaitDrained();
+  firings.Settle(&sequencer);
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -389,7 +479,9 @@ TEST(SequencerTest, OrderRecordOverCapIsCountedAndLoggingGoesOn) {
   ODE_ASSERT_OK(writer.Open(path, 0, wal_options));
 
   int log_failures = 0;
+  FiringQueue firings(&db);
   seq::Sequencer::Options options;
+  options.sink = firings.Sink();
   options.num_lanes = 2;
   options.order_log = &writer;
   options.on_log_failure = [&](const Status&) { ++log_failures; };
@@ -404,7 +496,7 @@ TEST(SequencerTest, OrderRecordOverCapIsCountedAndLoggingGoesOn) {
     ODE_ASSERT_OK(db.Commit(t));
   }
   PostAdds(&db, oid, 2);
-  sequencer.WaitDrained();
+  firings.Settle(&sequencer);
   seq::SequencerMetricsSnapshot m = sequencer.Metrics();
   sequencer.Stop();
   db.DetachSequencer();
@@ -424,7 +516,9 @@ TEST(SequencerTest, RestoreLaneCountersResumesNumbering) {
   Oid oid = MakeObject(&db);
   ODE_ASSERT_OK(db.ActivateClassTrigger("scell", "CT"));
 
+  FiringQueue firings(&db);
   seq::Sequencer::Options options;
+  options.sink = firings.Sink();
   options.num_lanes = 2;
   seq::Sequencer sequencer(&db, options);
   db.AttachSequencer(&sequencer);
@@ -435,7 +529,7 @@ TEST(SequencerTest, RestoreLaneCountersResumesNumbering) {
   ODE_ASSERT_OK(sequencer.Start());
 
   PostAdds(&db, oid, 3);  // External lane (1): seqs 4, 5, ...
-  sequencer.WaitDrained();
+  firings.Settle(&sequencer);
 
   std::vector<uint64_t> counters = sequencer.LaneCounters();
   ASSERT_EQ(counters.size(), 2u);
@@ -468,7 +562,9 @@ TEST(SequencerTest, ClassSlotCapIsSixtyFour) {
   Oid oid = db.New(t, "wide").value();
   ODE_ASSERT_OK(db.Commit(t));
 
+  FiringQueue firings(&db);
   seq::Sequencer::Options options;
+  options.sink = firings.Sink();
   options.num_lanes = 2;
   seq::Sequencer sequencer(&db, options);
   db.AttachSequencer(&sequencer);
@@ -484,7 +580,7 @@ TEST(SequencerTest, ClassSlotCapIsSixtyFour) {
   t = db.Begin().value();
   ODE_ASSERT_OK(db.Call(t, oid, "add", {Value(1)}).status());
   ODE_ASSERT_OK(db.Commit(t));
-  sequencer.WaitDrained();
+  firings.Settle(&sequencer);
   EXPECT_EQ(db.ClassFireCount("wide", "C63"), 1u);
   EXPECT_EQ(db.ClassFireCount("wide", "C64"), 0u);
   EXPECT_EQ(db.PeekAttr(oid, "touches").value().AsInt().value(), 64);

@@ -7,8 +7,10 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -914,6 +916,180 @@ TEST(DurableRuntimeTest, OrderLogHoleIsReDerivedByShardReplay) {
     EXPECT_EQ(rt.recovery().sequenced_replayed, 2u);
     EXPECT_EQ(db.PeekAttr(oid, "v").value().AsInt().value(), 6);
     EXPECT_EQ(db.PeekAttr(oid, "touches").value().AsInt().value(), touches);
+    ODE_ASSERT_OK(rt.Stop());
+  }
+}
+
+/// `xcell`: the class-scope CT counts every third add anywhere and echoes a
+/// note on the object that completed the cycle; the class-scope NT counts
+/// every note in `touches`. The notes come from class actions, so they
+/// publish on the shards' firing lanes.
+Status ClassEchoAction(const ActionContext& ctx) {
+  return ctx.db->Call(ctx.txn, ctx.self, "note", {Value(1)}).status();
+}
+
+std::vector<Oid> SetupClassEchoCells(Database* db, size_t n) {
+  ClassDef def("xcell");
+  def.AddAttr("v", Value(0));
+  def.AddAttr("touches", Value(0));
+  def.AddMethod(MethodDef{
+      "add",
+      {{"int", "d"}},
+      MethodKind::kUpdate,
+      [](MethodContext* ctx) -> Status {
+        ODE_ASSIGN_OR_RETURN(Value v, ctx->Get("v"));
+        ODE_ASSIGN_OR_RETURN(Value d, ctx->Arg("d"));
+        ODE_ASSIGN_OR_RETURN(Value next, v.Add(d));
+        return ctx->Set("v", next);
+      }});
+  def.AddMethod(MethodDef{"note",
+                          {{"int", "n"}},
+                          MethodKind::kUpdate,
+                          [](MethodContext*) { return Status::OK(); }});
+  def.AddTrigger("CT(): perpetual every 3 (after add) ==> echo");
+  def.AddTrigger("NT(): perpetual after note ==> count");
+  EXPECT_TRUE(db->RegisterAction("count", CountAction).ok());
+  EXPECT_TRUE(db->RegisterAction("echo", ClassEchoAction).ok());
+  EXPECT_TRUE(db->RegisterClass(std::move(def)).status().ok());
+  std::vector<Oid> oids;
+  TxnId t = db->Begin().value();
+  for (size_t i = 0; i < n; ++i) oids.push_back(db->New(t, "xcell").value());
+  ODE_EXPECT_OK(db->Commit(t));
+  ODE_EXPECT_OK(db->ActivateClassTrigger("xcell", "CT"));
+  ODE_EXPECT_OK(db->ActivateClassTrigger("xcell", "NT"));
+  return oids;
+}
+
+// A restart from the logs alone re-applies the order log, whose records
+// include the notes the echo actions posted on the firing lanes. The log
+// keeps only a prefix of the apply order, as after a crash (it is written
+// behind each apply). The recovered firings run again on their shards;
+// their notes, and the replayed adds, are dropped as replays up to each
+// lane's watermark and applied past it. That needs each lane's regenerated
+// sequence to match the original, which holds only because notes never
+// share a lane with the WAL-ordered adds: the counts match the
+// uninterrupted run.
+TEST(DurableRuntimeTest, ActionPostedEventsRecoverFromTheOrderLog) {
+  TempDir dir;
+  constexpr int kAdds = 60;
+  IngestOptions o = DurableOptions(dir.path());
+  o.num_shards = 4;
+  struct Counts {
+    uint64_t ct = 0;
+    uint64_t nt = 0;
+    int64_t touches = 0;
+    int64_t v = 0;
+  };
+  auto counts = [](const Database& db, const std::vector<Oid>& oids) {
+    Counts c;
+    c.ct = db.ClassFireCount("xcell", "CT");
+    c.nt = db.ClassFireCount("xcell", "NT");
+    for (const Oid& oid : oids) {
+      c.touches += db.PeekAttr(oid, "touches").value().AsInt().value();
+      c.v += db.PeekAttr(oid, "v").value().AsInt().value();
+    }
+    return c;
+  };
+  Counts uninterrupted;
+  {
+    Database db;
+    std::vector<Oid> oids = SetupClassEchoCells(&db, 6);
+    IngestRuntime rt(&db, o);
+    ODE_ASSERT_OK(rt.Start());
+    for (int i = 0; i < kAdds; ++i) {
+      ODE_ASSERT_OK(rt.Post(oids[i % oids.size()], "add", {Value(1)}));
+    }
+    ODE_ASSERT_OK(rt.Drain());
+    uninterrupted = counts(db, oids);
+    ODE_ASSERT_OK(rt.Stop());  // No checkpoint: the restart replays the logs.
+  }
+  EXPECT_EQ(uninterrupted.ct, static_cast<uint64_t>(kAdds / 3));
+  EXPECT_EQ(uninterrupted.nt, static_cast<uint64_t>(kAdds / 3));
+  EXPECT_EQ(uninterrupted.touches, kAdds / 3);
+  EXPECT_EQ(uninterrupted.v, kAdds);
+  const std::string order_path = seq::OrderLogPath(dir.path());
+  Result<wal::LogContents<seq::SeqEvent>> order = seq::ReadOrderLog(order_path);
+  ODE_ASSERT_OK(order.status());
+  const size_t kept = order->records.size() / 2;
+  ASSERT_GT(kept, 0u);
+  {
+    LogWriter writer;
+    ODE_ASSERT_OK(writer.Open(order_path, 0, o.durability));
+    ODE_ASSERT_OK(writer.Truncate());
+    std::string payload;
+    for (size_t i = 0; i < kept; ++i) {
+      payload.clear();
+      ODE_ASSERT_OK(seq::EncodeOrderRecord(&payload, order->records[i]));
+      ODE_ASSERT_OK(writer.AppendPayload(payload));
+    }
+    ODE_ASSERT_OK(writer.Sync());
+  }
+  {
+    Database db;
+    std::vector<Oid> oids = SetupClassEchoCells(&db, 6);
+    IngestRuntime rt(&db, o);
+    ODE_ASSERT_OK(rt.Start());
+    EXPECT_EQ(rt.recovery().sequenced_replayed, kept);
+    Counts recovered = counts(db, oids);
+    EXPECT_EQ(recovered.ct, uninterrupted.ct);
+    EXPECT_EQ(recovered.nt, uninterrupted.nt);
+    EXPECT_EQ(recovered.touches, uninterrupted.touches);
+    EXPECT_EQ(recovered.v, uninterrupted.v);
+    EXPECT_EQ(rt.Metrics().sequencer.apply_errors, 0u);
+    ODE_ASSERT_OK(rt.Stop());
+  }
+}
+
+// A checkpoint taken while a decided class firing has not run yet must
+// wait for it: the snapshot already holds the automaton step that decided
+// the firing, and the checkpoint truncates the order log that could
+// re-decide it. The checkpoint starts once the shard has committed the
+// adds, typically before the merge thread (one fsync per order record)
+// decides the firing, so the firing reaches a parked worker; the action is
+// slow, so it is still running when the snapshot would be taken.
+TEST(DurableRuntimeTest, CheckpointWaitsForDecidedFirings) {
+  TempDir dir;
+  auto setup = [](Database* db) {
+    ClassDef def("slow");
+    def.AddAttr("touches", Value(0));
+    def.AddMethod(MethodDef{"add",
+                            {{"int", "d"}},
+                            MethodKind::kUpdate,
+                            [](MethodContext*) { return Status::OK(); }});
+    def.AddTrigger("CT(): perpetual every 3 (after add) ==> slow_count");
+    EXPECT_TRUE(db->RegisterAction("slow_count", [](const ActionContext& ctx) {
+                    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                    return CountAction(ctx);
+                  }).ok());
+    EXPECT_TRUE(db->RegisterClass(std::move(def)).status().ok());
+    TxnId t = db->Begin().value();
+    Oid oid = db->New(t, "slow").value();
+    ODE_EXPECT_OK(db->Commit(t));
+    ODE_EXPECT_OK(db->ActivateClassTrigger("slow", "CT"));
+    return oid;
+  };
+  {
+    Database db;
+    Oid oid = setup(&db);
+    IngestRuntime rt(&db, DurableOptions(dir.path()));
+    ODE_ASSERT_OK(rt.Start());
+    for (int i = 0; i < 3; ++i) {
+      ODE_ASSERT_OK(rt.Post(oid, "add", {Value(1)}));
+    }
+    while (rt.Metrics().total.processed < 3) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    ODE_ASSERT_OK(rt.Checkpoint());
+    EXPECT_EQ(db.PeekAttr(oid, "touches").value().AsInt().value(), 1);
+    ODE_ASSERT_OK(rt.Stop());
+  }
+  {
+    Database db;
+    Oid oid = setup(&db);
+    IngestRuntime rt(&db, DurableOptions(dir.path()));
+    ODE_ASSERT_OK(rt.Start());
+    EXPECT_EQ(rt.recovery().replayed_events, 0u);
+    EXPECT_EQ(db.PeekAttr(oid, "touches").value().AsInt().value(), 1);
     ODE_ASSERT_OK(rt.Stop());
   }
 }
