@@ -142,6 +142,11 @@ const Alphabet::Group* Alphabet::MatchGroup(const PostedEvent& event) const {
   return nullptr;
 }
 
+int Alphabet::GroupOf(const PostedEvent& event) const {
+  const Group* g = MatchGroup(event);
+  return g == nullptr ? -1 : static_cast<int>(g - groups_.data());
+}
+
 Result<SymbolSet> Alphabet::SymbolsFor(const EventExpr& atom) const {
   if (atom.kind != EventExprKind::kAtom) {
     return Status::Internal("SymbolsFor requires an atom node");
@@ -206,11 +211,10 @@ TxnMarkerSymbols Alphabet::txn_markers() const {
 Result<SymbolId> Alphabet::Classify(const PostedEvent& event,
                                     const MaskEvalFn& eval_mask,
                                     int* group) const {
-  const Group* g = MatchGroup(event);
-  if (group != nullptr) {
-    *group = g == nullptr ? -1 : static_cast<int>(g - groups_.data());
-  }
-  if (g == nullptr) return other_symbol();
+  const int index = GroupOf(event);
+  if (group != nullptr) *group = index;
+  if (index < 0) return other_symbol();
+  const Group* g = &groups_[index];
   size_t combo = 0;
   for (size_t i = 0; i < g->masks.size(); ++i) {
     Result<bool> v = eval_mask(g->masks[i], event);

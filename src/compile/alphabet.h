@@ -99,6 +99,10 @@ class Alphabet {
   /// The index of the group owning symbol `s`, or -1 for OTHER.
   int GroupOfSymbol(SymbolId s) const;
 
+  /// The index of the group `event` falls into, or -1 for OTHER: the group
+  /// Classify reports, found without evaluating a mask.
+  int GroupOf(const PostedEvent& event) const;
+
   /// True when no group carries masks, i.e. symbols correspond one-to-one
   /// to basic events (plus OTHER).
   bool IsMaskFree() const;

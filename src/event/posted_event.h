@@ -14,6 +14,10 @@ namespace ode {
 /// Identifier of a transaction. 0 means "no transaction / system".
 using TxnId = uint64_t;
 
+/// Dense id of a basic event within the class it is posted to, interned
+/// when the class registers (compile/dispatch.h). -1: not stamped.
+using EventId = int32_t;
+
 /// A named actual argument carried by a posted event (method parameters,
 /// available to masks, §3.2).
 struct EventArg {
@@ -29,6 +33,9 @@ struct EventArg {
 struct PostedEvent {
   BasicEventKind kind = BasicEventKind::kMethod;
   EventQualifier qualifier = EventQualifier::kAfter;
+  /// The event's id in its object's class, stamped by the poster; read by
+  /// detection only, never persisted.
+  EventId event_id = -1;
 
   /// kMethod: the invoked member function and its actual arguments.
   std::string method_name;

@@ -115,9 +115,19 @@ Status IngestClient::WriteAll() {
     // Broken pipe / reset: redial and replay the unacked pipeline.
     if (!options_.auto_reconnect ||
         ++reconnect_cycles > options_.max_reconnect_attempts) {
+      const int send_errno = errno;
+      // A server that is shutting down answers a post with
+      // ERR_SHUTTING_DOWN and closes; bytes sent after that close are
+      // answered with a reset. Its reply may still be unread: read it so
+      // the caller learns why the connection went away.
+      bool saw = false;
+      (void)PumpReplies(/*block=*/false, /*wait_seq=*/0, &saw);
       Close();
+      if (server_shutting_down_) {
+        return Status::Shutdown("server is shutting down");
+      }
       return Status::Unavailable(
-          StrFormat("send: %s", std::strerror(errno)));
+          StrFormat("send: %s", std::strerror(send_errno)));
     }
     ODE_RETURN_IF_ERROR(Reconnect());
     off = 0;  // Reconnect rebuilt outbuf_ from the unacked posts.
@@ -233,8 +243,15 @@ Status IngestClient::PumpReplies(bool block, uint64_t wait_seq,
       if (!block) return Status::OK();
       return Status::Unavailable("timed out waiting for server reply");
     }
+    // A reset rather than an orderly close: every reply received before it
+    // has been decoded above, so ERR_SHUTTING_DOWN is known by now.
+    const int recv_errno = errno;
     Close();
-    return Status::Unavailable(StrFormat("recv: %s", std::strerror(errno)));
+    if (server_shutting_down_) {
+      return Status::Shutdown("server closed the connection");
+    }
+    return Status::Unavailable(
+        StrFormat("recv: %s", std::strerror(recv_errno)));
   }
 }
 

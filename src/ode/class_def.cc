@@ -1,5 +1,7 @@
 #include "ode/class_def.h"
 
+#include <algorithm>
+
 #include "common/strutil.h"
 #include "ode/database.h"
 
@@ -85,10 +87,10 @@ Result<ClassId> ClassRegistry::Register(ClassDef def,
         StrFormat("class '%s' already registered", def.name().c_str()));
   }
 
-  auto reg_owner = std::make_unique<RegisteredClass>(
-      RegisteredClass{static_cast<ClassId>(classes_.size()), def,
-                      /*triggers=*/{}, /*auto_activate=*/{}, /*groups=*/{}});
+  auto reg_owner = std::make_unique<RegisteredClass>();
   RegisteredClass& reg = *reg_owner;
+  reg.id = static_cast<ClassId>(classes_.size());
+  reg.def = def;
   size_t unnamed = 0;
   for (const ClassDef::PendingTrigger& p : def.pending_triggers()) {
     TriggerSpec spec;
@@ -116,6 +118,31 @@ Result<ClassId> ClassRegistry::Register(ClassDef def,
     if (!program.ok()) return program.status();
     reg.triggers.push_back(std::move(*program));
     reg.auto_activate.push_back(p.auto_activate);
+  }
+
+  std::vector<EventTable::Method> methods;
+  for (const MethodDef& m : def.methods()) {
+    EventTable::Method& method = methods.emplace_back();
+    method.name = m.name;
+    for (const ParamDecl& p : m.params) method.arg_names.push_back(p.name);
+  }
+  std::vector<std::string> time_keys;
+  for (const TriggerProgram& program : reg.triggers) {
+    for (const BasicEvent& te : program.event.alphabet.TimeEvents()) {
+      std::string key = te.CanonicalKey();
+      if (std::find(time_keys.begin(), time_keys.end(), key) ==
+          time_keys.end()) {
+        time_keys.push_back(std::move(key));
+      }
+    }
+  }
+  reg.events = EventTable(std::move(methods), std::move(time_keys));
+  for (const TriggerProgram& program : reg.triggers) {
+    const Dfa& dfa = program.ActiveDfa();
+    reg.dispatch.push_back(AutomatonDispatch::Build(
+        program.event.alphabet, reg.events, dfa,
+        !program.event.gates.empty(),
+        [&](Dfa::State s) { return dfa.accepting(s); }));
   }
 
   ClassId id = reg.id;

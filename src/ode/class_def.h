@@ -1,6 +1,7 @@
 #ifndef ODE_ODE_CLASS_DEF_H_
 #define ODE_ODE_CLASS_DEF_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -10,6 +11,7 @@
 #include "common/result.h"
 #include "common/value.h"
 #include "compile/combined.h"
+#include "compile/dispatch.h"
 #include "compile/trigger_program.h"
 #include "event/basic_event.h"
 
@@ -154,15 +156,26 @@ struct TriggerGroup {
   std::string name;
   std::vector<int> member_idxs;
   CombinedProgram program;
+  AutomatonDispatch dispatch;  ///< Over the class's event table.
 };
 
 /// A registered class: definition plus compiled trigger programs.
 struct RegisteredClass {
   ClassId id = 0;
-  ClassDef def;
+  ClassDef def{std::string()};
   std::vector<TriggerProgram> triggers;
   std::vector<bool> auto_activate;  ///< Parallel to `triggers`.
   std::vector<TriggerGroup> groups;
+
+  /// The class's posting dispatch, compiled at registration: its events'
+  /// ids and, per trigger, where each id goes (compile/dispatch.h).
+  EventTable events;
+  std::vector<AutomatonDispatch> dispatch;  ///< Parallel to `triggers`.
+
+  /// Set once a class-scope trigger of the class is armed (or restored);
+  /// until then a posting skips the class-slot lookup. A hint kept beside
+  /// the compiled schema, hence mutable.
+  mutable std::atomic<bool> class_scope_armed{false};
 
   const TriggerProgram* FindTrigger(std::string_view trigger_name) const;
   int TriggerIndex(std::string_view trigger_name) const;

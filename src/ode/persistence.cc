@@ -386,6 +386,9 @@ Status Database::LoadSnapshotText(std::string_view body) {
         if (slots[i].active) mask |= uint64_t{1} << i;
       }
       class_active_masks_[class_id].store(mask, std::memory_order_release);
+      if (const RegisteredClass* cls = classes_.FindById(class_id)) {
+        cls->class_scope_armed.store(true, std::memory_order_release);
+      }
     }
   }
   ODE_RETURN_IF_ERROR(clock_.ImportTimers(std::move(timers), clock_now));

@@ -3,8 +3,8 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -34,14 +34,16 @@ struct UndoEntry {
   };
 
   Kind kind = Kind::kAttr;
+  bool old_active = false;     // kTriggerActive.
+  int trigger_idx = -1;        // kTriggerState / kTriggerActive.
+  int32_t old_state = 0;       // kTriggerState.
   Oid oid;
   std::string attr;            // kAttr.
   Value old_value;             // kAttr.
-  int trigger_idx = -1;        // kTriggerState / kTriggerActive.
-  int32_t old_state = 0;       // kTriggerState.
   std::vector<int32_t> old_gate_states;  // kTriggerState.
-  bool old_active = false;     // kTriggerActive.
-  std::optional<Object> deleted_object;  // kDelete.
+  /// kDelete. Behind a pointer: a whole object would triple the size of
+  /// every other entry.
+  std::unique_ptr<Object> deleted_object;
 };
 
 /// Bookkeeping for one transaction. Lifecycle (begin / tcomplete fixpoint /
@@ -73,7 +75,14 @@ class Transaction {
   /// `after tbegin` to the object, §3.1).
   bool RecordAccess(Oid oid);
 
-  void PushUndo(UndoEntry entry) { undo_log_.push_back(std::move(entry)); }
+  /// Appends an undo entry of `kind` for `oid`, built in place; the caller
+  /// fills in the fields its kind uses.
+  UndoEntry& PushUndo(UndoEntry::Kind kind, Oid oid) {
+    UndoEntry& entry = undo_log_.emplace_back();
+    entry.kind = kind;
+    entry.oid = oid;
+    return entry;
+  }
   const std::vector<UndoEntry>& undo_log() const { return undo_log_; }
   std::vector<UndoEntry> TakeUndoLog() { return std::move(undo_log_); }
 

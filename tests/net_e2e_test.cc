@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -273,6 +274,59 @@ TEST(NetE2eTest, ShutdownHandshake) {
 
   ODE_ASSERT_OK(rig.rt.Stop());
   ODE_ASSERT_OK(client.Post(rig.oids[0], "add", {Value(2)}));
+  Status s = client.Drain();
+  EXPECT_EQ(s.code(), StatusCode::kShutdown) << s.ToString();
+  EXPECT_FALSE(client.connected());
+}
+
+// A server that stopped answers a post with ERR_SHUTTING_DOWN and closes.
+// Bytes the client sends after that close draw a reset instead of an
+// orderly end of stream. A raw server makes the reset certain (SO_LINGER
+// 0): the client must still report kShutdown, from the reply it had
+// already received, not kUnavailable from the reset.
+TEST(NetE2eTest, ShutdownReplyFollowedByResetIsShutdown) {
+  Result<Socket> listener = TcpListen("127.0.0.1", 0, 4);
+  ODE_ASSERT_OK(listener.status());
+  Result<uint16_t> port = LocalPort(listener->fd());
+  ODE_ASSERT_OK(port.status());
+
+  std::promise<void> posted;
+  std::thread server([&] {
+    Result<Socket> conn = Accept(listener->fd(), nullptr);
+    if (!conn.ok()) return;
+    FrameDecoder decoder;
+    Frame frame;
+    uint64_t post_seq = 0;
+    char chunk[4096];
+    while (post_seq == 0) {
+      ssize_t n = ::recv(conn->fd(), chunk, sizeof(chunk), 0);
+      if (n <= 0) return;
+      decoder.Append(chunk, static_cast<size_t>(n));
+      while (decoder.Next(&frame) == FrameDecoder::State::kFrame) {
+        if (frame.type == FrameType::kPost) post_seq = frame.seq;
+      }
+    }
+    posted.get_future().wait();  // The client's Flush has returned.
+    std::string reply;
+    AppendErr(&reply, post_seq, WireError::kShuttingDown, "runtime stopped");
+    (void)::send(conn->fd(), reply.data(), reply.size(), MSG_NOSIGNAL);
+    linger abortive{1, 0};
+    ::setsockopt(conn->fd(), SOL_SOCKET, SO_LINGER, &abortive,
+                 sizeof(abortive));
+    conn->Reset();
+  });
+
+  ClientOptions options;
+  options.host = "127.0.0.1";
+  options.port = *port;
+  options.auto_reconnect = false;
+  IngestClient client(options);
+  ODE_ASSERT_OK(client.Connect());
+  ODE_ASSERT_OK(client.Post(Oid{1}, "add", {Value(1)}));
+  ODE_ASSERT_OK(client.Flush());
+  posted.set_value();
+  server.join();
+
   Status s = client.Drain();
   EXPECT_EQ(s.code(), StatusCode::kShutdown) << s.ToString();
   EXPECT_FALSE(client.connected());
