@@ -3,6 +3,11 @@
 // dependencies, and the committed vs. full history views.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <thread>
+
 #include "ode/database.h"
 #include "test_util.h"
 
@@ -113,6 +118,77 @@ TEST(TxnEventsTest, AfterTabortRunsInSystemTxn) {
   // The aborted transaction's bump was rolled back; the trigger action's
   // write (in the system transaction) was not.
   EXPECT_EQ(f.db.PeekAttr(f.obj, "n").value().AsInt().value(), 0);
+}
+
+// A commit or abort epilogue re-locks each accessed object before posting
+// to it, and may wait for that lock while another thread's transaction
+// holds it. That transaction may delete the object, or delete it and abort,
+// which restores a copy at a new address. The epilogue must post to the
+// object as it is once the lock is held (under ASan, a pointer taken
+// before the wait reads freed memory). `end_with_abort`: the first
+// transaction aborts and the rival aborts its delete; else both commit.
+void RunEpilogueAgainstRivalDelete(bool end_with_abort) {
+  ClassDef def = CounterClass();
+  def.AddTrigger("Hold(): perpetual after tcommit | after tabort ==> hand_over");
+  def.AddTrigger("Seen(): perpetual after tcommit | after tabort");
+  Database db;
+  std::atomic<bool> armed{false};
+  std::promise<void> go;
+  std::promise<void> locked;
+  std::shared_future<void> locked_f = locked.get_future().share();
+  // Runs in the epilogue's posting to `y`, the first accessed object: lets
+  // the rival lock `x`, the next one, and returns once it has.
+  ODE_ASSERT_OK(db.RegisterAction(
+      "hand_over", [&](const ActionContext&) -> Status {
+        if (!armed.exchange(false)) return Status::OK();
+        go.set_value();
+        locked_f.wait();
+        return Status::OK();
+      }));
+  ODE_ASSERT_OK(db.RegisterClass(std::move(def)).status());
+  TxnId t0 = db.Begin().value();
+  Oid y = db.New(t0, "counter").value();
+  Oid x = db.New(t0, "counter").value();
+  ODE_ASSERT_OK(db.ActivateTrigger(t0, y, "Hold"));
+  ODE_ASSERT_OK(db.ActivateTrigger(t0, x, "Seen"));
+  ODE_ASSERT_OK(db.Commit(t0));
+  const uint64_t seen_before = db.FireCount(x, "Seen");
+
+  std::thread rival([&] {
+    go.get_future().wait();
+    TxnId t2 = db.Begin().value();
+    Status lock_x = db.SetAttr(t2, x, "n", Value(7));
+    locked.set_value();
+    ASSERT_TRUE(lock_x.ok()) << lock_x.ToString();
+    // Well inside the epilogue's ~50ms wait for the lock on `x`.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ODE_EXPECT_OK(db.Delete(t2, x));
+    ODE_EXPECT_OK(end_with_abort ? db.Abort(t2) : db.Commit(t2));
+  });
+  TxnId t1 = db.Begin().value();
+  ODE_EXPECT_OK(db.Call(t1, y, "bump").status());
+  ODE_EXPECT_OK(db.Call(t1, x, "bump").status());
+  armed = true;
+  ODE_EXPECT_OK(end_with_abort ? db.Abort(t1) : db.Commit(t1));
+  rival.join();
+
+  EXPECT_EQ(db.FireCount(y, "Hold"), 2u);  // Setup's commit, then t1's.
+  if (end_with_abort) {
+    // The restored `x` saw both `after tabort` postings: the rival's and
+    // the first transaction's.
+    ASSERT_NE(db.object(x), nullptr);
+    EXPECT_EQ(db.FireCount(x, "Seen"), seen_before + 2);
+  } else {
+    EXPECT_EQ(db.object(x), nullptr);
+  }
+}
+
+TEST(TxnEventsTest, CommitEpilogueSkipsObjectDeletedWhileWaitingForLock) {
+  RunEpilogueAgainstRivalDelete(/*end_with_abort=*/false);
+}
+
+TEST(TxnEventsTest, AbortEpiloguePostsToObjectRestoredWhileWaitingForLock) {
+  RunEpilogueAgainstRivalDelete(/*end_with_abort=*/true);
 }
 
 TEST(TxnEventsTest, ActivationByAbortingTxnIsRolledBack) {
